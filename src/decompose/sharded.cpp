@@ -40,7 +40,7 @@ ResidualClosedForm closed_form_residual(const ComponentSplit& split) {
   }
   out.applicable = true;
 
-  using u128 = unsigned __int128;
+  __extension__ using u128 = unsigned __int128;
   constexpr u128 kMax128 = ~static_cast<u128>(0);
   constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
   u128 num = 1;

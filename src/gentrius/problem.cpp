@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 
+#include "support/check.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -126,7 +128,16 @@ std::uint64_t rooted_hash(const phylo::Tree& tree, phylo::VertexId v,
     if (vx.adj[i].to == from) continue;
     parts[n++] = rooted_hash(tree, vx.adj[i].to, v, color);
   }
-  std::sort(parts, parts + n);
+  GENTRIUS_DCHECK(n <= 3);
+  // Ascending order of at most three hashes by compare-swap.
+  const auto order = [&parts](std::size_t a, std::size_t b) {
+    if (parts[b] < parts[a]) std::swap(parts[a], parts[b]);
+  };
+  if (n >= 2) order(0, 1);
+  if (n == 3) {
+    order(1, 2);
+    order(0, 1);
+  }
   std::uint64_t h = 0x5b17ULL;
   for (std::size_t i = 0; i < n; ++i) h = mix_hash(h, parts[i]);
   return h;

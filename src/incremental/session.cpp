@@ -46,6 +46,15 @@ phylo::TaxonSet rank_parse_labels(const std::vector<phylo::TaxonId>& order) {
   return ts;
 }
 
+/// True iff `present` holds exactly the taxa of the ascending list `taxa`.
+bool same_taxa(const std::vector<phylo::TaxonId>& taxa,
+               const support::Bitset& present) {
+  if (taxa.size() != present.count()) return false;
+  return std::all_of(taxa.begin(), taxa.end(), [&](phylo::TaxonId t) {
+    return t < present.universe_size() && present.test(t);
+  });
+}
+
 }  // namespace
 
 IncrementalSession::IncrementalSession(phylo::Tree species_tree, pam::Pam pam,
@@ -78,9 +87,71 @@ Result IncrementalSession::apply(const PamDelta& edit) {
   return apply(EditScript{edit});
 }
 
+IncrementalSession::Plan IncrementalSession::analyse(const pam::Pam& pam,
+                                                    Plan& previous) const {
+  Plan plan;
+  constexpr auto kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> previous_constraint(previous.locus_taxa.size(),
+                                               kNone);
+  for (std::size_t c = 0; c < previous.constraint_locus.size(); ++c)
+    previous_constraint[previous.constraint_locus[c]] = c;
+
+  // Induced subtrees, exactly as pam::induced_subtrees: the species tree is
+  // fixed, so a locus whose taxon set is unchanged keeps its subtree.
+  plan.locus_taxa.reserve(pam.locus_count());
+  for (std::size_t l = 0; l < pam.locus_count(); ++l) {
+    const bool same = l < previous.locus_taxa.size() &&
+                      same_taxa(previous.locus_taxa[l], pam.locus_taxa(l));
+    plan.locus_taxa.push_back(same ? std::move(previous.locus_taxa[l])
+                                   : pam.locus_taxa_list(l));
+    if (plan.locus_taxa.back().size() < options_.min_taxa) continue;
+    plan.constraint_locus.push_back(l);
+    plan.constraints.push_back(
+        same ? std::move(previous.constraints[previous_constraint[l]])
+             : pam::induced_subtree(species_, pam, l));
+  }
+  plan.split = decompose::analyze_components(plan.constraints);
+
+  plan.components.resize(plan.split.components.size());
+  for (std::size_t i = 0; i < plan.split.components.size(); ++i) {
+    const Component& comp = plan.split.components[i];
+    if (!comp.enumerable) continue;
+    ComponentMemo& memo = plan.components[i];
+    memo.key.reserve(comp.constraint_indices.size());
+    for (const std::size_t c : comp.constraint_indices)
+      memo.key.push_back(plan.locus_taxa[plan.constraint_locus[c]]);
+    for (ComponentMemo& old : previous.components)
+      if (!old.key.empty() && old.key == memo.key) {
+        memo = std::exchange(old, ComponentMemo{});
+        break;
+      }
+  }
+
+  // Id-stable labels for Newick round-tripping, exactly as plan_shards.
+  // Only Newick written over them is ever parsed against them, so no label
+  // is ever added: a label set is a function of its size.
+  phylo::TaxonId max_id = 0;
+  for (const Component& comp : plan.split.components)
+    max_id = std::max(max_id, comp.taxa.back());
+  if (previous.labels.size() == std::size_t{max_id} + 1) {
+    plan.labels = std::move(previous.labels);
+  } else {
+    for (phylo::TaxonId t = 0; t <= max_id; ++t)
+      plan.labels.add("x" + std::to_string(t));
+  }
+  return plan;
+}
+
+IncrementalSession::Plan& IncrementalSession::current_plan() {
+  if (!plan_) {
+    Plan none;
+    plan_ = analyse(pam_, none);
+  }
+  return *plan_;
+}
+
 Result IncrementalSession::apply(const EditScript& script) {
-  const auto before =
-      decompose::analyze_pam(species_, pam_, options_.min_taxa).split;
+  current_plan();
 
   // Validate-then-commit: the script lands on a scratch copy, so a
   // mid-script failure (out-of-range index, filling an already-present
@@ -94,10 +165,16 @@ Result IncrementalSession::apply(const EditScript& script) {
       added_taxon[i] = static_cast<phylo::TaxonId>(edited.taxon_count());
     apply_edit(edited, script[i], species_.leaf_count());
   }
+  // The edited matrix's plan takes over every unchanged part of the
+  // current one; the memo stays empty until both matrix and plan commit.
+  Plan before_plan = std::move(*plan_);
+  plan_.reset();
+  Plan after_plan = analyse(edited, before_plan);
   const pam::Pam before_pam = std::move(pam_);
   pam_ = std::move(edited);
-  const auto after =
-      decompose::analyze_pam(species_, pam_, options_.min_taxa).split;
+  plan_ = std::move(after_plan);
+  const decompose::ComponentSplit& before = before_plan.split;
+  const decompose::ComponentSplit& after = plan_->split;
 
   // Merged classification across the script: union of touched components,
   // OR of the structure flags (each edit judged against the script-level
@@ -132,24 +209,14 @@ Result IncrementalSession::enumerate() { return run_cached(); }
 Result IncrementalSession::run_cached() {
   namespace detail = decompose::detail;
 
-  const auto decomp =
-      decompose::analyze_pam(species_, pam_, options_.min_taxa);
-  const auto& constraints = decomp.constraints;
-  const auto& split = decomp.split;
+  Plan& plan = current_plan();
+  const auto& constraints = plan.constraints;
+  const auto& split = plan.split;
   if (split.enumerable_count == 0)
     throw InvalidInput(
         "decompose: no component contains a constraint with >= 3 taxa; "
         "nothing is enumerable");
-
-  // Id-stable labels for Newick round-tripping, exactly as plan_shards.
-  phylo::TaxonSet labels;
-  {
-    phylo::TaxonId max_id = 0;
-    for (const Component& comp : split.components)
-      max_id = std::max(max_id, comp.taxa.back());
-    for (phylo::TaxonId t = 0; t <= max_id; ++t)
-      labels.add("x" + std::to_string(t));
-  }
+  phylo::TaxonSet& labels = plan.labels;
 
   const Options base = detail::shard_options(options_.engine);
   const std::uint64_t evictions_before = cache_.evictions();
@@ -157,25 +224,75 @@ Result IncrementalSession::run_cached() {
   Result out;
   out.reason = StopReason::kCompleted;
 
-  // ---- plan phase: canonicalize, look up, settle representatives ----------
+  const bool want_stands = options_.engine.collect_trees;
+  // With the closed-form residual and no stands to collect, nothing
+  // consumes a representative: the residual count is a formula of the
+  // component sizes, and a completed component run settles emptiness by
+  // itself. The one-tree probe then waits until something needs it.
+  const bool defer_probe = options_.run.residual_closed_form && !want_stands &&
+                           split.enumerable_count == split.components.size();
+
+  // ---- plan phase: canonicalize, look up, settle emptiness ----------------
   struct CompWork {
     const Component* comp = nullptr;
-    std::vector<phylo::Tree> sub;
-    core::CanonicalInstance canon;
+    ComponentMemo* memo = nullptr;
+    std::vector<phylo::Tree> sub;  ///< member constraints, built on demand
     /// Usable hit (stands included if needed), copied OUT of the cache at
     /// plan time: the run phase inserts recomputed misses, and an insert at
     /// capacity evicts — a pointer into the cache could dangle before its
     /// hit is served.
     std::optional<CacheEntry> hit;
-    phylo::Tree representative;  ///< session-id tree; empty if stand empty
     bool empty = false;
   };
   std::vector<CompWork> work;
   std::vector<phylo::Tree> passthrough;
   bool empty_component = false;
-  const bool want_stands = options_.engine.collect_trees;
 
-  for (const Component& comp : split.components) {
+  const auto members = [&](CompWork& w) -> const std::vector<phylo::Tree>& {
+    if (w.sub.empty()) w.sub = detail::subset_constraints(constraints, *w.comp);
+    return w.sub;
+  };
+  // Canonical representative probe, byte-identical to plan_shards: a
+  // default-options serial run collecting one tree. Probe work is not
+  // accumulated into the Result (run_sharded's plan phase is not either);
+  // the full shard run recomputes the count.
+  const auto probe = [&](CompWork& w) -> const ComponentMemo::Probe& {
+    if (!w.memo->probe) {
+      Options o;
+      o.collect_trees = true;
+      o.collect_limit = 1;
+      o.stop.max_stand_trees = 1;
+      o.tree_names = &labels;
+      const Result r = core::run_serial(members(w), o);
+      ComponentMemo::Probe p;
+      p.empty = r.trees.empty();
+      if (!p.empty) p.tree = phylo::parse_newick(r.trees.front(), labels);
+      w.memo->probe = std::move(p);
+    }
+    return *w.memo->probe;
+  };
+  const auto rank_labels = [](ComponentMemo& m) -> phylo::TaxonSet& {
+    if (!m.rank_labels) m.rank_labels = rank_parse_labels(m.canon->order);
+    return *m.rank_labels;
+  };
+  // The residual constraint of a component: a hit's cached representative,
+  // translated into session ids; otherwise (a miss, or an entry stored
+  // while its probe was deferred) the probe's tree, as plan_shards has it.
+  const auto representative = [&](CompWork& w) -> const phylo::Tree& {
+    ComponentMemo& m = *w.memo;
+    if (w.hit && !w.hit->representative.empty()) {
+      if (!m.hit_tree || m.hit_newick != w.hit->representative) {
+        m.hit_tree.reset();
+        m.hit_newick = w.hit->representative;
+        m.hit_tree = phylo::parse_newick(m.hit_newick, rank_labels(m));
+      }
+      return *m.hit_tree;
+    }
+    return probe(w).tree;
+  };
+
+  for (std::size_t i = 0; i < split.components.size(); ++i) {
+    const Component& comp = split.components[i];
     if (!comp.enumerable) {
       for (const std::size_t c : comp.constraint_indices)
         passthrough.push_back(constraints[c]);
@@ -183,9 +300,11 @@ Result IncrementalSession::run_cached() {
     }
     CompWork w;
     w.comp = &comp;
-    w.sub = detail::subset_constraints(constraints, comp);
-    w.canon = core::canonicalize_instance(w.sub);
-    const CacheEntry* entry = cache_.find(w.canon.fp, w.canon.encoding);
+    w.memo = &plan.components[i];
+    if (!w.memo->canon)
+      w.memo->canon = core::canonicalize_instance(members(w));
+    const core::CanonicalInstance& canon = *w.memo->canon;
+    const CacheEntry* entry = cache_.find(canon.fp, canon.encoding);
     // A hit serves stand streaming only when its stand fits the caller's
     // collect_limit: a from-scratch run truncates each component's
     // collection at the limit, so serving a larger cached stand would break
@@ -194,32 +313,11 @@ Result IncrementalSession::run_cached() {
                   (entry->stands_complete &&
                    entry->stands.size() <= options_.engine.collect_limit))) {
       w.hit = *entry;
-      if (entry->stand_trees == 0) {
-        w.empty = true;
-        empty_component = true;
-      } else {
-        auto parse_ts = rank_parse_labels(w.canon.order);
-        w.representative =
-            phylo::parse_newick(entry->representative, parse_ts);
-      }
-    } else {
-      // Canonical representative probe, byte-identical to plan_shards: a
-      // default-options serial run collecting one tree. Probe work is not
-      // accumulated into the Result (run_sharded's plan phase is not
-      // either); the full shard run below recomputes the count.
-      Options probe;
-      probe.collect_trees = true;
-      probe.collect_limit = 1;
-      probe.stop.max_stand_trees = 1;
-      probe.tree_names = &labels;
-      const Result r = core::run_serial(w.sub, probe);
-      if (r.trees.empty()) {
-        w.empty = true;
-        empty_component = true;
-      } else {
-        w.representative = phylo::parse_newick(r.trees.front(), labels);
-      }
+      w.empty = entry->stand_trees == 0;
+    } else if (!defer_probe) {
+      w.empty = probe(w).empty;
     }
+    if (w.empty) empty_component = true;
     work.push_back(std::move(w));
   }
 
@@ -243,7 +341,7 @@ Result IncrementalSession::run_cached() {
         // Cached stands live in rank space; translate into session labels
         // through the engine's canonical Newick so the streamed tuples are
         // byte-identical to a from-scratch run's.
-        auto parse_ts = rank_parse_labels(w.canon.order);
+        phylo::TaxonSet& parse_ts = rank_labels(*w.memo);
         std::vector<std::string> stands;
         stands.reserve(w.hit->stands.size());
         for (const std::string& s_rank : w.hit->stands)
@@ -266,7 +364,7 @@ Result IncrementalSession::run_cached() {
     } else {
       comp_opts.collect_trees = false;
     }
-    Result r = detail::run_one_shard(w.sub, comp_opts, options_.run);
+    Result r = detail::run_one_shard(members(w), comp_opts, options_.run);
     const ShardStats stats =
         detail::make_stats(ShardStats::Kind::kComponent, comp.taxa.size(),
                            comp.constraint_indices.size(), r);
@@ -281,16 +379,28 @@ Result IncrementalSession::run_cached() {
 
     if (collect) std::sort(r.trees.begin(), r.trees.end());
 
+    const bool completed = r.reason == StopReason::kCompleted ||
+                           r.reason == StopReason::kEmptyStand;
+    if (defer_probe) {
+      // A completed run settles emptiness; one cut by a stopping rule does
+      // not, so that component is probed as plan_shards would.
+      w.empty = completed ? r.stand_trees == 0 : probe(w).empty;
+      if (w.empty) empty_component = true;
+    }
+
     // Only completed runs are cacheable: a truncated count is a property
     // of the stopping rules, not of the instance.
-    if (r.reason == StopReason::kCompleted ||
-        r.reason == StopReason::kEmptyStand) {
+    if (completed) {
+      const core::CanonicalInstance& canon = *w.memo->canon;
       CacheEntry entry;
-      entry.encoding = w.canon.encoding;
+      entry.encoding = canon.encoding;
       entry.stand_trees = r.stand_trees;
       entry.stats = stats;
-      const auto rank = rank_of_taxon(w.canon.order);
-      if (!w.empty) entry.representative = core::rank_newick(w.representative, rank);
+      const auto rank = rank_of_taxon(canon.order);
+      // Without a probe (deferred) the entry carries no representative; a
+      // later residual run probes the component instead.
+      if (w.memo->probe && !w.memo->probe->empty)
+        entry.representative = core::rank_newick(w.memo->probe->tree, rank);
       if (collect && r.trees.size() == r.stand_trees) {
         entry.stands.reserve(r.trees.size());
         for (const std::string& s_x : r.trees)
@@ -299,7 +409,7 @@ Result IncrementalSession::run_cached() {
         std::sort(entry.stands.begin(), entry.stands.end());
         entry.stands_complete = true;
       }
-      cache_.insert(w.canon.fp, std::move(entry));
+      cache_.insert(canon.fp, std::move(entry));
     }
 
     if (collect) component_stands.push_back(std::move(r.trees));
@@ -377,8 +487,8 @@ Result IncrementalSession::run_cached() {
     } else {
       std::vector<phylo::Tree> residual_constraints;
       residual_constraints.reserve(residual_size);
-      for (const CompWork& w : work)
-        residual_constraints.push_back(w.representative);
+      for (CompWork& w : work)
+        residual_constraints.push_back(representative(w));
       residual_constraints.insert(residual_constraints.end(),
                                   passthrough.begin(), passthrough.end());
       Options res_opts = base;
@@ -396,11 +506,11 @@ Result IncrementalSession::run_cached() {
       out.cache.misses += 1;
       out.cache.recomputed_states += r.intermediate_states;
       if (r.reason == StopReason::kCompleted) {
-        CacheEntry entry;
-        entry.encoding = res_encoding;
-        entry.stand_trees = r.stand_trees;
-        entry.stats = stats;
-        cache_.insert(res_fp, std::move(entry));
+        CacheEntry residual;
+        residual.encoding = res_encoding;
+        residual.stand_trees = r.stand_trees;
+        residual.stats = stats;
+        cache_.insert(res_fp, std::move(residual));
       }
     }
   } else {

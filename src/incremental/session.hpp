@@ -22,14 +22,26 @@
 // component without resizing the split or rewriting the pass-throughs
 // reuses the residual outright; that reuse, plus per-component reuse, is
 // where the >= 5x amortized speedup of BENCH_9 comes from.
+//
+// The session also keeps the plan of its current matrix (Plan below): the
+// induced subtree of every locus, the component split, each enumerable
+// component's canonical form and representatives, and the "x<i>" labels.
+// Every part memoises a pure function on its exact input, so an edit
+// re-induces only the loci whose taxon set changed and re-canonicalises
+// only the components whose constraint content changed, and a read of an
+// unchanged matrix does nothing but the cache lookups. The memo holds one
+// plan — the current matrix's — or none; each run replaces it wholesale.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "decompose/components.hpp"
 #include "decompose/sharded.hpp"
 #include "gentrius/options.hpp"
+#include "gentrius/problem.hpp"
 #include "incremental/cache.hpp"
 #include "incremental/delta.hpp"
 #include "pam/pam.hpp"
@@ -91,6 +103,48 @@ class IncrementalSession {
   support::Fingerprint instance_fingerprint() const;
 
  private:
+  /// Memo of one enumerable component, keyed by its exact constraint
+  /// content: the ascending taxon list of each member locus, in constraint
+  /// order. The species tree is fixed, so the key determines the member
+  /// constraint trees and every field below is a pure function of it.
+  /// Fields fill lazily; a filled field is always exact.
+  struct ComponentMemo {
+    std::vector<std::vector<phylo::TaxonId>> key;
+    std::optional<core::CanonicalInstance> canon;
+    /// Rank-label parse set of canon->order (rank_parse_labels).
+    std::optional<phylo::TaxonSet> rank_labels;
+    /// The one-tree representative probe, exactly as plan_shards runs it.
+    struct Probe {
+      bool empty = false;
+      phylo::Tree tree;  ///< session ids; meaningless when empty
+    };
+    std::optional<Probe> probe;
+    /// A cache hit's representative parsed into session ids, keyed by the
+    /// rank-label Newick it was parsed from (and canon->order via the key).
+    std::string hit_newick;
+    std::optional<phylo::Tree> hit_tree;
+  };
+
+  /// The analysed plan of one matrix.
+  struct Plan {
+    /// Per locus: its present taxa, ascending (the key of its subtree).
+    std::vector<std::vector<phylo::TaxonId>> locus_taxa;
+    /// Induced subtrees of the loci with >= min_taxa present taxa, in
+    /// locus order, and the locus each came from.
+    std::vector<phylo::Tree> constraints;
+    std::vector<std::size_t> constraint_locus;
+    decompose::ComponentSplit split;
+    /// Parallel to split.components; non-enumerable entries stay empty.
+    std::vector<ComponentMemo> components;
+    /// Id-stable labels "x<i>" for i <= max component taxon id.
+    phylo::TaxonSet labels;
+  };
+
+  /// The plan of `pam`, moving every part of `previous` (a plan of an
+  /// earlier matrix of this session) whose key is unchanged.
+  Plan analyse(const pam::Pam& pam, Plan& previous) const;
+  /// plan_, analysed from pam_ first when the memo is empty.
+  Plan& current_plan();
   core::Result run_cached();
 
   phylo::Tree species_;
@@ -99,6 +153,8 @@ class IncrementalSession {
   ResultCache cache_;
   core::CacheStats lifetime_;
   DeltaClass last_class_;
+  /// Plan of pam_, or empty. Never describes any other matrix.
+  std::optional<Plan> plan_;
 };
 
 }  // namespace gentrius::incremental

@@ -97,6 +97,30 @@ void expect_same(Result inc, Result ref, const std::string& where) {
   EXPECT_EQ(sorted_trees(inc), sorted_trees(ref));
 }
 
+std::vector<std::string> trace_lines(const Result& r) {
+  std::vector<std::string> lines;
+  for (const auto& s : r.shards)
+    lines.push_back(decompose::shard_trace_line(s));
+  return lines;
+}
+
+/// A read right after a write sees the matrix the write planned: it must
+/// reproduce the write's result from the cache alone — every component and
+/// the residual served, nothing re-enumerated.
+void expect_read_served(Result read, Result written,
+                        std::uint64_t expected_hits,
+                        const std::string& where) {
+  SCOPED_TRACE(where + " (read)");
+  EXPECT_EQ(read.reason, written.reason);
+  EXPECT_EQ(read.stand_trees, written.stand_trees);
+  EXPECT_EQ(read.count_saturated, written.count_saturated);
+  EXPECT_EQ(trace_lines(read), trace_lines(written));
+  EXPECT_EQ(read.cache.recomputed_components, 0u);
+  EXPECT_EQ(read.cache.misses, 0u);
+  EXPECT_EQ(read.cache.hits, expected_hits);
+  EXPECT_EQ(sorted_trees(read), sorted_trees(written));
+}
+
 TEST(SessionDifferential, RandomEditStreamsMatchFromScratch) {
   std::uint64_t total_hits = 0;
   for (std::uint64_t seed = 1; seed <= kProductLawSeeds; ++seed) {
@@ -119,15 +143,20 @@ TEST(SessionDifferential, RandomEditStreamsMatchFromScratch) {
       if (!edit) break;
       Result inc = session.apply(*edit);
       incremental::apply_edit(shadow, *edit);
+      total_hits += inc.cache.hits;
+      const std::string where = "step " + std::to_string(step) + ": " +
+                                incremental::to_string(*edit);
+      // Every enumerable component plus the enumerated residual (the
+      // closed form is off).
+      const auto split = decompose::analyze_pam(ds.species_tree, shadow).split;
+      expect_read_served(session.enumerate(), inc,
+                         split.enumerable_count + 1, where);
       expect_same(std::move(inc),
-                  from_scratch(ds.species_tree, shadow, opts),
-                  "step " + std::to_string(step) + ": " +
-                      incremental::to_string(*edit));
+                  from_scratch(ds.species_tree, shadow, opts), where);
     }
-    total_hits += session.lifetime_cache_stats().hits;
   }
   // Localized edits must actually reuse work: across the sweep the
-  // untouched components (and often the residual) hit the cache.
+  // untouched components (and often the residual) hit the cache on apply.
   EXPECT_GT(total_hits, kProductLawSeeds);
 }
 
@@ -417,6 +446,190 @@ TEST(SessionDifferential, ScriptWithMultipleAddTaxaClassifiesEach) {
             (std::vector<std::size_t>{0, 1}));
   expect_same(std::move(inc), from_scratch(species, shadow, opts),
               "after two add_taxon edits");
+}
+
+TEST(SessionDifferential, SwapScriptsReinduceTheLocus) {
+  // A script that fills one taxon into a locus and clears another from it
+  // keeps the locus's size but changes its taxon set: its induced subtree
+  // (and its component's canonical form) must be rebuilt, not reused.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto ds =
+        benchutil::make_multi_component(params_for_seed(seed, 2));
+    SCOPED_TRACE(ds.name);
+    const Options opts = engine_options(ds.taxa);
+    SessionOptions so;
+    so.engine = opts;
+    IncrementalSession session(ds.species_tree, ds.pam, so);
+    pam::Pam shadow = ds.pam;
+    session.enumerate();
+
+    support::Rng rng(seed * 13 + 5);
+    for (int step = 0; step < 3; ++step) {
+      const std::size_t l = rng.below(shadow.locus_count());
+      std::vector<phylo::TaxonId> in, out;
+      for (phylo::TaxonId t = 0; t < shadow.taxon_count(); ++t)
+        (shadow.present(t, l) ? in : out).push_back(t);
+      if (in.empty() || out.empty()) continue;
+      const EditScript swap{PamDelta::fill_cell(out[rng.below(out.size())], l),
+                            PamDelta::clear_cell(in[rng.below(in.size())], l)};
+      Result inc = session.apply(swap);
+      for (const PamDelta& edit : swap) incremental::apply_edit(shadow, edit);
+      expect_same(std::move(inc),
+                  from_scratch(ds.species_tree, shadow, opts),
+                  "swap step " + std::to_string(step));
+    }
+  }
+}
+
+TEST(SessionDifferential, RolledBackScriptKeepsThePlanExact) {
+  // A script that fails part-way must leave the session's plan describing
+  // the untouched matrix: the next read and the next successful apply both
+  // equal from-scratch runs.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const auto ds =
+        benchutil::make_multi_component(params_for_seed(seed, 2));
+    SCOPED_TRACE(ds.name);
+    const Options opts = engine_options(ds.taxa);
+    SessionOptions so;
+    so.engine = opts;
+    IncrementalSession session(ds.species_tree, ds.pam, so);
+    pam::Pam shadow = ds.pam;
+    const Result first = session.enumerate();
+
+    support::Rng rng(seed * 31 + 7);
+    const auto edit = random_edit(shadow, rng);
+    ASSERT_TRUE(edit.has_value());
+    // The first edit applies; the out-of-range fill after it fails.
+    const PamDelta bad = PamDelta::fill_cell(0, shadow.locus_count() + 5);
+    EXPECT_THROW(session.apply(EditScript{*edit, bad}), support::InvalidInput);
+
+    expect_read_served(session.enumerate(), first, first.shards.size(),
+                       "read after rollback");
+    expect_same(session.enumerate(),
+                from_scratch(ds.species_tree, shadow, opts),
+                "read after rollback");
+
+    Result inc = session.apply(*edit);
+    incremental::apply_edit(shadow, *edit);
+    expect_same(std::move(inc), from_scratch(ds.species_tree, shadow, opts),
+                "apply after rollback");
+    expect_same(session.enumerate(),
+                from_scratch(ds.species_tree, shadow, opts),
+                "read after apply");
+  }
+}
+
+TEST(SessionDifferential, AddTaxonGrowsLabelsAndRankMaps) {
+  // A session whose plan is warm absorbs a new taxon: the universe grows,
+  // so the "x<i>" labels and the rank maps of the component the taxon
+  // joins must be rebuilt, while untouched components keep theirs. Stand
+  // sets are collected, so a stale label set could not round-trip them.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto ds =
+        benchutil::make_multi_component(params_for_seed(seed * 5 + 2, 2));
+    const std::size_t n = ds.taxon_count();
+    pam::Pam initial(n - 1, ds.pam.locus_count());
+    for (std::size_t l = 0; l < ds.pam.locus_count(); ++l)
+      for (phylo::TaxonId t = 0; t + 1 < n; ++t)
+        if (ds.pam.present(t, l)) initial.set_present(t, l);
+    const auto split = decompose::analyze_pam(ds.species_tree, initial).split;
+    if (split.enumerable_count == 0) continue;
+    SCOPED_TRACE(ds.name);
+
+    const Options opts = engine_options(ds.taxa);
+    SessionOptions so;
+    so.engine = opts;
+    IncrementalSession session(ds.species_tree, initial, so);
+    session.enumerate();
+    session.enumerate();  // a read of the warm plan
+
+    std::vector<std::size_t> loci;
+    for (std::size_t l = 0; l < ds.pam.locus_count(); ++l)
+      if (ds.pam.present(static_cast<phylo::TaxonId>(n - 1), l))
+        loci.push_back(l);
+    Result grown = session.apply(PamDelta::add_taxon(loci));
+    expect_same(session.enumerate(),
+                from_scratch(ds.species_tree, ds.pam, opts), "grown read");
+    expect_same(std::move(grown),
+                from_scratch(ds.species_tree, ds.pam, opts), "grown");
+
+    // One more edit on the new taxon: a fill into a locus it lacks.
+    pam::Pam shadow = ds.pam;
+    const auto t_new = static_cast<phylo::TaxonId>(n - 1);
+    for (std::size_t l = 0; l < shadow.locus_count(); ++l) {
+      if (shadow.present(t_new, l)) continue;
+      const PamDelta fill = PamDelta::fill_cell(t_new, l);
+      Result inc = session.apply(fill);
+      incremental::apply_edit(shadow, fill);
+      expect_same(std::move(inc),
+                  from_scratch(ds.species_tree, shadow, opts),
+                  "after " + incremental::to_string(fill));
+      break;
+    }
+  }
+}
+
+TEST(SessionDifferential, DeferredProbeServesALaterResidualRun) {
+  // With the closed-form residual and no stands collected, component
+  // entries are stored without a representative (nothing consumes one).
+  // A later edit adds a 2-taxon locus — a pass-through constraint at
+  // min_taxa = 2 — so the closed form no longer applies and the residual
+  // must be enumerated from representatives of components that are cache
+  // hits without one. The session probes them as plan_shards does.
+  phylo::TaxonSet taxa;
+  support::Rng rng(71);
+  const auto species =
+      datagen::random_tree(datagen::default_taxa(taxa, 9), rng);
+  pam::Pam pam(9, 2);
+  for (phylo::TaxonId t = 0; t < 4; ++t) pam.set_present(t, 0);
+  for (phylo::TaxonId t = 4; t < 7; ++t) pam.set_present(t, 1);
+
+  Options opts;
+  opts.decompose = core::Decompose::kComponents;
+  SessionOptions so;
+  so.engine = opts;
+  so.min_taxa = 2;
+  so.run.residual_closed_form = true;
+  IncrementalSession session(species, pam, so);
+
+  const auto reference = [&](const pam::Pam& m) {
+    const auto decomp = decompose::analyze_pam(species, m, so.min_taxa);
+    return decompose::run_sharded(decomp.constraints, opts, so.run);
+  };
+  const auto expect_exact = [&](const Result& got, const Result& ref,
+                                const std::string& where) {
+    SCOPED_TRACE(where);
+    ASSERT_EQ(ref.reason, StopReason::kCompleted);
+    EXPECT_EQ(got.reason, ref.reason);
+    EXPECT_EQ(got.stand_trees, ref.stand_trees);
+    EXPECT_EQ(got.count_saturated, ref.count_saturated);
+    EXPECT_EQ(trace_lines(got), trace_lines(ref));
+  };
+
+  const Result cold = session.enumerate();
+  expect_exact(cold, reference(pam), "closed form");
+  EXPECT_EQ(cold.cache.misses, 2u);
+
+  const PamDelta edit = PamDelta::add_locus({7, 8});
+  const Result inc = session.apply(edit);
+  pam::Pam shadow = pam;
+  incremental::apply_edit(shadow, edit);
+  EXPECT_EQ(inc.cache.hits, 2u);    // both components
+  EXPECT_EQ(inc.cache.misses, 1u);  // the residual, now enumerated
+  EXPECT_EQ(inc.cache.recomputed_components, 0u);
+  expect_exact(inc, reference(shadow), "pass-through residual");
+  expect_exact(session.enumerate(), reference(shadow), "read");
+
+  // The same with stands collected: the stand set equals from scratch.
+  Options collecting = opts;
+  collecting.collect_trees = true;
+  collecting.tree_names = &taxa;
+  SessionOptions so_collect = so;
+  so_collect.engine = collecting;
+  IncrementalSession stands(species, pam, so_collect);
+  stands.enumerate();
+  expect_same(stands.apply(edit), from_scratch(species, shadow, collecting, 2),
+              "collected");
 }
 
 TEST(SessionDifferential, RejectsUnusableConfigurations) {

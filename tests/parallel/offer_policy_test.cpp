@@ -142,8 +142,8 @@ TEST_P(OfferPolicyEquivalence, CountsAndStandSetMatchSerialEverywhere) {
 INSTANTIATE_TEST_SUITE_P(BothPolicies, OfferPolicyEquivalence,
                          ::testing::Values(OfferPolicy::kPaperFixed,
                                            OfferPolicy::kAdaptiveGW),
-                         [](const auto& info) {
-                           return info.param == OfferPolicy::kPaperFixed
+                         [](const auto& param_info) {
+                           return param_info.param == OfferPolicy::kPaperFixed
                                       ? "PaperFixed"
                                       : "AdaptiveGW";
                          });

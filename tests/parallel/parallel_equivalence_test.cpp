@@ -74,8 +74,9 @@ TEST_P(Equivalence, AllDriversAgreeOnCountsAndStand) {
         << "vthreads=" << threads;
     EXPECT_EQ(vir.dead_ends, serial.dead_ends) << "vthreads=" << threads;
     EXPECT_EQ(sorted(vir.trees), expected_trees) << "vthreads=" << threads;
-    if (serial.intermediate_states > 0)
+    if (serial.intermediate_states > 0) {
       EXPECT_GT(vir.virtual_makespan, 0.0);
+    }
 
     const Result stat = parallel::run_static_split(problem, opts, threads);
     EXPECT_EQ(stat.stand_trees, serial.stand_trees);
