@@ -1,15 +1,20 @@
-// Shared shard-execution and result-combination helpers.
+// The shard driver: the one plan-run-combine loop behind every sharded run.
 //
-// run_sharded (sharded.cpp) and the incremental session (src/incremental)
-// must combine shard results *identically* — same saturating product, same
-// shard-local option view, same cross-product streaming order — or the
-// incremental differential guarantee ("byte-equal counts and stand sets at
-// every edit step") silently breaks. These helpers are that single shared
-// path. They are an internal decompose API: subject to change with the
-// drivers that use them.
+// decompose::run_sharded and the incremental session (src/incremental) both
+// enumerate a decomposed instance through run_shards below. It runs or
+// serves each enumerable component, settles emptiness, takes the residual
+// from the closed form, a served result or an enumerated run, rolls up the
+// Result (shards, counters, scheduler and selection stats, virtual
+// makespan), and streams the stands. run_sharded passes no cache; the
+// session passes a ShardCache that serves clean components and the residual
+// from its ResultCache and stores what the driver computed. A session run
+// therefore equals a from-scratch run_sharded by construction: there is one
+// combination path, not two kept in step. This is an internal decompose API,
+// subject to change with its two callers.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,25 +25,6 @@
 #include "phylo/tree.hpp"
 
 namespace gentrius::decompose::detail {
-
-/// a * b clamped to uint64 max; sets `saturated` on clamp.
-std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b,
-                             bool& saturated);
-
-/// The component's member constraints, in input order.
-std::vector<phylo::Tree> subset_constraints(
-    const std::vector<phylo::Tree>& constraints, const Component& comp);
-
-/// Shard-local option view: whole-instance overrides cannot survive into a
-/// shard (initial_constraint indexes the whole constraint list, an
-/// insertion_order permutes the whole missing-taxa set), and the shard
-/// itself must never recurse into decomposition.
-core::Options shard_options(const core::Options& options);
-
-/// Runs one shard instance through the backend selected by `run`.
-core::Result run_one_shard(const std::vector<phylo::Tree>& constraints,
-                           const core::Options& options,
-                           const ShardRunOptions& run);
 
 /// Closed-form residual interleaving count (ShardRunOptions::
 /// residual_closed_form). `applicable` is false when some component is
@@ -54,31 +40,80 @@ struct ResidualClosedForm {
 
 ResidualClosedForm closed_form_residual(const ComponentSplit& split);
 
-/// Per-shard rollup of a shard run's Result.
-core::ShardStats make_stats(core::ShardStats::Kind kind, std::size_t n_taxa,
-                            std::size_t n_constraints, const core::Result& r);
+/// The canonical representative probe of a component: the first stand tree
+/// of a default-options serial run collecting one tree — a deterministic
+/// function of the component alone.
+struct ShardProbe {
+  bool empty = false;
+  phylo::Tree tree;  ///< over the "x<i>" label ids; meaningless when empty
+};
 
-/// Folds a shard run into the combined result (counters, scheduler and
-/// selection stats, first-stopping-rule-wins reason).
-void accumulate(core::Result& out, const core::Result& r);
+/// One enumerable component as the driver sees it, in canonical order.
+struct ShardSlot {
+  const Component* comp = nullptr;
+  std::size_t index = 0;  ///< position in ComponentSplit::components
+  /// Set by ShardCache::serve: `stats` (and `stands`, when stands are
+  /// collected) come from a finished run and stand in for this one.
+  bool served = false;
+  /// The shard's rollup: the served one, or that of the driver's run.
+  core::ShardStats stats;
+  /// The stand as Newick over the labels, ascending: the served stand, or
+  /// the run's collected one.
+  std::vector<std::string> stands;
+  /// A served slot's residual constraint (ShardCache::serve_residual);
+  /// when null the driver probes the component for one.
+  const phylo::Tree* representative = nullptr;
+  /// Where the probe is memoised: the cache's memo, or own_probe when null.
+  std::optional<ShardProbe>* probe = nullptr;
+  std::optional<ShardProbe> own_probe;
+  std::vector<phylo::Tree> sub;  ///< member constraints, built by members()
 
-/// Sharded virtual-time accounting (virtual backend only; see CostModel).
-double combine_makespans(const std::vector<double>& makespans,
-                         const ShardRunOptions& run);
+  /// The component's member constraints, in input order.
+  const std::vector<phylo::Tree>& members(
+      const std::vector<phylo::Tree>& constraints) {
+    if (sub.empty()) {
+      sub.reserve(comp->constraint_indices.size());
+      for (const std::size_t c : comp->constraint_indices)
+        sub.push_back(constraints[c]);
+    }
+    return sub;
+  }
+};
 
-/// Cross-product stand streaming: every tuple of component stand trees,
-/// plus the vacuous pass-through constraints, is an instance whose stand is
-/// a slice of the whole stand; the slices are disjoint and exhaustive.
-/// `component_stands` holds one lexicographically sorted list per
-/// enumerable component, as Newick over `labels`. Appends to out.trees up
-/// to caller.collect_limit; tuple instances run serially (they are
-/// interleaving-only and cheap). `base` must be the shard-local option
-/// view; `caller` supplies collect_limit / tree_names; `residual_count` is
-/// the interleaving count every tuple instance must reproduce (DCHECKed).
-void stream_cross_product(
-    const std::vector<std::vector<std::string>>& component_stands,
-    const std::vector<phylo::Tree>& passthrough, phylo::TaxonSet& labels,
-    const core::Options& base, const core::Options& caller,
-    std::uint64_t residual_count, core::Result& out);
+/// A store of finished shard results that run_shards consults. Each hook
+/// runs at most once per run, never per component, and in this order:
+/// serve, record, serve_residual, record_residual.
+class ShardCache {
+ public:
+  /// Before any shard runs: marks the slots it holds a usable finished
+  /// result for (served, stats, and stands when stands are collected).
+  virtual void serve(std::vector<ShardSlot>& slots) = 0;
+  /// After the component shards: records the slots the driver ran.
+  /// `collected`: their stands were collected (up to collect_limit).
+  virtual void record(const std::vector<ShardSlot>& slots, bool collected) = 0;
+  /// Before an enumerated residual (not closed form, no empty component):
+  /// the served residual rollup, or nullopt. On nullopt the residual runs;
+  /// the cache points each served slot's representative at the one it
+  /// holds, if any.
+  virtual std::optional<core::ShardStats> serve_residual(
+      std::vector<ShardSlot>& slots,
+      const std::vector<phylo::Tree>& passthrough) = 0;
+  /// After that residual run: records its rollup.
+  virtual void record_residual(const core::ShardStats& stats) = 0;
+
+ protected:
+  ~ShardCache() = default;
+};
+
+/// Runs the decomposed instance `constraints` (split by analyze_components)
+/// as run_sharded documents: component shards, then the residual, combined
+/// by saturating product and, when options.collect_trees, cross-product
+/// stand streaming. `labels` is the "x<i>" label set; pass it empty or as
+/// an earlier call left it (it only grows). `cache` may be null. Throws
+/// InvalidInput when no component is enumerable.
+core::Result run_shards(const std::vector<phylo::Tree>& constraints,
+                        const ComponentSplit& split, phylo::TaxonSet& labels,
+                        const core::Options& options,
+                        const ShardRunOptions& run, ShardCache* cache);
 
 }  // namespace gentrius::decompose::detail

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -15,21 +16,6 @@
 namespace gentrius::decompose {
 
 namespace detail {
-
-using core::Options;
-using core::Result;
-using core::ShardStats;
-using core::StopReason;
-
-std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b,
-                             bool& saturated) {
-  if (a == 0 || b == 0) return 0;
-  if (a > std::numeric_limits<std::uint64_t>::max() / b) {
-    saturated = true;
-    return std::numeric_limits<std::uint64_t>::max();
-  }
-  return a * b;
-}
 
 ResidualClosedForm closed_form_residual(const ComponentSplit& split) {
   ResidualClosedForm out;
@@ -71,15 +57,67 @@ ResidualClosedForm closed_form_residual(const ComponentSplit& split) {
   return out;
 }
 
-std::vector<phylo::Tree> subset_constraints(
-    const std::vector<phylo::Tree>& constraints, const Component& comp) {
-  std::vector<phylo::Tree> out;
-  out.reserve(comp.constraint_indices.size());
-  for (const std::size_t c : comp.constraint_indices)
-    out.push_back(constraints[c]);
-  return out;
+}  // namespace detail
+
+namespace {
+
+using core::Options;
+using core::Result;
+using core::ShardStats;
+using core::StopReason;
+using detail::ShardProbe;
+using detail::ShardSlot;
+
+/// a * b clamped to uint64 max; sets `saturated` on clamp.
+std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b,
+                             bool& saturated) {
+  if (a == 0 || b == 0) return 0;
+  if (a > std::numeric_limits<std::uint64_t>::max() / b) {
+    saturated = true;
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  return a * b;
 }
 
+void require_enumerable(const ComponentSplit& split) {
+  if (split.enumerable_count == 0)
+    throw support::InvalidInput(
+        "decompose: no component contains a constraint with >= 3 taxa; "
+        "nothing is enumerable");
+}
+
+/// Extends `labels` to the id-stable labels "x<i>" (label "x<i>" gets id i)
+/// for every taxon of the split, used to round-trip component stand trees
+/// through the engine's Newick collection. Only Newick written over them is
+/// ever parsed against them, so a set that covers more ids serves as well.
+void extend_labels(const ComponentSplit& split, phylo::TaxonSet& labels) {
+  phylo::TaxonId max_id = 0;
+  for (const Component& comp : split.components)
+    max_id = std::max(max_id, comp.taxa.back());
+  for (auto t = static_cast<phylo::TaxonId>(labels.size()); t <= max_id; ++t)
+    labels.add("x" + std::to_string(t));
+}
+
+/// The canonical representative probe (ShardProbe), independent of the
+/// caller's heuristic configuration.
+ShardProbe probe_component(const std::vector<phylo::Tree>& members,
+                           phylo::TaxonSet& labels) {
+  Options o;
+  o.collect_trees = true;
+  o.collect_limit = 1;
+  o.stop.max_stand_trees = 1;
+  o.tree_names = &labels;
+  const Result r = core::run_serial(members, o);
+  ShardProbe p;
+  p.empty = r.trees.empty();
+  if (!p.empty) p.tree = phylo::parse_newick(r.trees.front(), labels);
+  return p;
+}
+
+/// Shard-local option view: whole-instance overrides cannot survive into a
+/// shard (initial_constraint indexes the whole constraint list, an
+/// insertion_order permutes the whole missing-taxa set), and the shard
+/// itself must never recurse into decomposition.
 Options shard_options(const Options& options) {
   Options o = options;
   o.decompose = core::Decompose::kOff;
@@ -88,6 +126,7 @@ Options shard_options(const Options& options) {
   return o;
 }
 
+/// Runs one shard instance through the backend selected by `run`.
 Result run_one_shard(const std::vector<phylo::Tree>& constraints,
                      const Options& options, const ShardRunOptions& run) {
   switch (run.backend) {
@@ -95,7 +134,7 @@ Result run_one_shard(const std::vector<phylo::Tree>& constraints,
       return core::run_serial(constraints, options);
     case ShardBackend::kPool:
       return parallel::run_parallel(core::build_problem(constraints, options),
-                                    options, run.n_threads, run.launch_mode);
+                                    options, run.n_threads);
     case ShardBackend::kVirtual:
       return vthread::run_virtual(core::build_problem(constraints, options),
                                   options, run.n_threads, run.costs);
@@ -119,6 +158,8 @@ ShardStats make_stats(ShardStats::Kind kind, std::size_t n_taxa,
   return s;
 }
 
+/// Folds a shard run into the combined result (counters, scheduler and
+/// selection stats, first-stopping-rule-wins reason).
 void accumulate(Result& out, const Result& r) {
   out.intermediate_states += r.intermediate_states;
   out.dead_ends += r.dead_ends;
@@ -134,6 +175,7 @@ void accumulate(Result& out, const Result& r) {
     out.reason = r.reason;
 }
 
+/// Sharded virtual-time accounting (virtual backend only; see CostModel).
 double combine_makespans(const std::vector<double>& makespans,
                          const ShardRunOptions& run) {
   const double dispatch = run.costs.shard_dispatch_cost;
@@ -154,17 +196,25 @@ double combine_makespans(const std::vector<double>& makespans,
   return finish + merge * n;
 }
 
-void stream_cross_product(
-    const std::vector<std::vector<std::string>>& component_stands,
-    const std::vector<phylo::Tree>& passthrough, phylo::TaxonSet& labels,
-    const core::Options& base, const core::Options& caller,
-    std::uint64_t residual_count, core::Result& out) {
-  const std::size_t k = component_stands.size();
+/// Cross-product stand streaming: every tuple of component stand trees,
+/// plus the vacuous pass-through constraints, is an instance whose stand is
+/// a slice of the whole stand; the slices are disjoint and exhaustive. Each
+/// slot holds its component's sorted stand. Appends to out.trees up to
+/// caller.collect_limit; tuple instances run serially (they are
+/// interleaving-only and cheap: no component branching remains inside
+/// them). `base` is the shard-local option view; `residual_count` is the
+/// interleaving count every tuple instance must reproduce (DCHECKed).
+void stream_cross_product(const std::vector<ShardSlot>& slots,
+                          const std::vector<phylo::Tree>& passthrough,
+                          phylo::TaxonSet& labels, const Options& base,
+                          const Options& caller, std::uint64_t residual_count,
+                          Result& out) {
+  const std::size_t k = slots.size();
   // done: a truncated-to-empty component list (collect_limit == 0), or
   // the odometer wrapped — every tuple has been streamed.
   bool done = false;
-  for (const auto& stand : component_stands)
-    if (stand.empty()) done = true;
+  for (const ShardSlot& slot : slots)
+    if (slot.stands.empty()) done = true;
   std::vector<std::size_t> index(k, 0);
   Options tuple_opts = base;
   tuple_opts.collect_trees = true;
@@ -172,8 +222,7 @@ void stream_cross_product(
   while (!done && out.trees.size() < caller.collect_limit) {
     std::vector<phylo::Tree> tuple = passthrough;
     for (std::size_t i = 0; i < k; ++i)
-      tuple.push_back(
-          phylo::parse_newick(component_stands[i][index[i]], labels));
+      tuple.push_back(phylo::parse_newick(slots[i].stands[index[i]], labels));
     tuple_opts.collect_limit = caller.collect_limit - out.trees.size();
     Result r = core::run_serial(tuple, tuple_opts);
     // Shape independence of the interleaving count: every tuple instance
@@ -189,30 +238,162 @@ void stream_cross_product(
     std::size_t i = k;
     while (i > 0) {
       --i;
-      if (++index[i] < component_stands[i].size()) break;
+      if (++index[i] < slots[i].stands.size()) break;
       index[i] = 0;
       if (i == 0) done = true;  // wrapped: all tuples streamed
     }
   }
 }
 
-}  // namespace detail
-
-namespace {
-
-using core::Options;
-using core::Result;
-using core::ShardStats;
-using core::StopReason;
-using detail::accumulate;
-using detail::combine_makespans;
-using detail::make_stats;
-using detail::run_one_shard;
-using detail::saturating_mul;
-using detail::shard_options;
-using detail::subset_constraints;
-
 }  // namespace
+
+namespace detail {
+
+Result run_shards(const std::vector<phylo::Tree>& constraints,
+                  const ComponentSplit& split, phylo::TaxonSet& labels,
+                  const Options& options, const ShardRunOptions& run,
+                  ShardCache* cache) {
+  require_enumerable(split);
+  extend_labels(split, labels);
+  const Options base = shard_options(options);
+
+  std::vector<ShardSlot> slots;
+  slots.reserve(split.enumerable_count);
+  std::vector<phylo::Tree> passthrough;
+  std::size_t universe = 0;
+  for (std::size_t i = 0; i < split.components.size(); ++i) {
+    const Component& comp = split.components[i];
+    universe += comp.taxa.size();
+    if (comp.enumerable) {
+      slots.emplace_back();
+      slots.back().comp = &comp;
+      slots.back().index = i;
+    } else {
+      for (const std::size_t c : comp.constraint_indices)
+        passthrough.push_back(constraints[c]);
+    }
+  }
+  if (cache) cache->serve(slots);
+
+  const auto probe = [&](ShardSlot& slot) -> const ShardProbe& {
+    std::optional<ShardProbe>& memo = slot.probe ? *slot.probe : slot.own_probe;
+    if (!memo) memo = probe_component(slot.members(constraints), labels);
+    return *memo;
+  };
+
+  // Settle emptiness before anything runs: a served count, else the probe.
+  // With the closed-form residual and no stands to collect, nothing
+  // consumes a representative (the residual count is a formula of the
+  // component sizes) and a completed component run settles emptiness by
+  // itself, so the probe waits until something needs it.
+  const bool defer_probe = run.residual_closed_form && !options.collect_trees &&
+                           split.enumerable_count == split.components.size();
+  bool empty_component = false;
+  for (ShardSlot& slot : slots) {
+    if (slot.served)
+      empty_component |= slot.stats.stand_trees == 0;
+    else if (!defer_probe)
+      empty_component |= probe(slot).empty;
+  }
+  const bool collect = options.collect_trees && !empty_component;
+
+  Result out;
+  out.reason = StopReason::kCompleted;
+  std::uint64_t product = 1;
+  // Executed shards only: a served shard costs no dispatch, run or merge.
+  std::vector<double> makespans;
+
+  for (ShardSlot& slot : slots) {
+    if (slot.served) {
+      slot.stats.reused = true;
+      out.shards.push_back(slot.stats);
+      product = saturating_mul(product, slot.stats.stand_trees,
+                               out.count_saturated);
+      continue;
+    }
+    Options comp_opts = base;
+    comp_opts.collect_trees = collect;
+    if (collect) {
+      comp_opts.collect_limit = options.collect_limit;
+      comp_opts.tree_names = &labels;
+    }
+    Result r = run_one_shard(slot.members(constraints), comp_opts, run);
+    slot.stats = make_stats(ShardStats::Kind::kComponent,
+                            slot.comp->taxa.size(),
+                            slot.comp->constraint_indices.size(), r);
+    out.shards.push_back(slot.stats);
+    accumulate(out, r);
+    product = saturating_mul(product, r.stand_trees, out.count_saturated);
+    makespans.push_back(r.virtual_makespan);
+    if (defer_probe) {
+      // A completed run settles emptiness; one cut by a stopping rule does
+      // not, so that component is probed.
+      const bool completed = r.reason == StopReason::kCompleted ||
+                             r.reason == StopReason::kEmptyStand;
+      empty_component |= completed ? r.stand_trees == 0 : probe(slot).empty;
+    }
+    if (collect) {
+      // Canonical tuple order must not depend on the backend's worker
+      // interleaving: sort each component's stand lexicographically.
+      std::sort(r.trees.begin(), r.trees.end());
+      slot.stands = std::move(r.trees);
+    }
+  }
+  if (cache) cache->record(slots, collect);
+
+  // The residual shard: one representative per enumerable component plus
+  // the pass-through constraints, skipped when some stand is empty.
+  ShardStats residual;
+  if (!empty_component) {
+    const ResidualClosedForm closed = run.residual_closed_form
+                                          ? closed_form_residual(split)
+                                          : ResidualClosedForm{};
+    std::optional<ShardStats> served;
+    if (!closed.applicable && cache)
+      served = cache->serve_residual(slots, passthrough);
+    if (closed.applicable) {
+      residual.stand_trees = closed.count;
+      out.count_saturated |= closed.saturated;
+    } else if (served) {
+      // The interleaving count depends only on the size signature and the
+      // pass-through constraints, so a served residual's count is exact
+      // whatever representatives it was computed from.
+      residual = *served;
+      residual.reused = true;
+    } else {
+      std::vector<phylo::Tree> residual_constraints;
+      for (ShardSlot& slot : slots)
+        residual_constraints.push_back(slot.representative
+                                           ? *slot.representative
+                                           : probe(slot).tree);
+      residual_constraints.insert(residual_constraints.end(),
+                                  passthrough.begin(), passthrough.end());
+      Options res_opts = base;
+      res_opts.collect_trees = false;
+      const Result r = run_one_shard(residual_constraints, res_opts, run);
+      residual = make_stats(ShardStats::Kind::kResidual, universe,
+                            residual_constraints.size(), r);
+      accumulate(out, r);
+      makespans.push_back(r.virtual_makespan);
+      if (cache) cache->record_residual(residual);
+    }
+    residual.kind = ShardStats::Kind::kResidual;
+    residual.n_taxa = universe;
+    residual.n_constraints = slots.size() + passthrough.size();
+    out.shards.push_back(residual);
+    out.stand_trees = saturating_mul(product, residual.stand_trees,
+                                     out.count_saturated);
+  }
+  if (run.backend == ShardBackend::kVirtual)
+    out.virtual_makespan = combine_makespans(makespans, run);
+
+  if (collect && out.stand_trees > 0)
+    stream_cross_product(slots, passthrough, labels, base, options,
+                         residual.stand_trees, out);
+  return out;
+}
+
+}  // namespace detail
 
 std::string shard_trace_line(const core::ShardStats& s) {
   std::string line = "shard ";
@@ -230,42 +411,23 @@ std::string shard_trace_line(const core::ShardStats& s) {
 ShardPlan plan_shards(const std::vector<phylo::Tree>& constraints) {
   ShardPlan plan;
   plan.split = analyze_components(constraints);
-  if (plan.split.enumerable_count == 0)
-    throw support::InvalidInput(
-        "decompose: no component contains a constraint with >= 3 taxa; "
-        "nothing is enumerable");
-
-  // Id-stable labels for Newick round-tripping: label "x<i>" gets id i.
-  phylo::TaxonId max_id = 0;
-  for (const Component& comp : plan.split.components)
-    max_id = std::max(max_id, comp.taxa.back());
-  for (phylo::TaxonId t = 0; t <= max_id; ++t)
-    plan.labels.add("x" + std::to_string(t));
-
-  // Canonical representative per enumerable component: the first stand tree
-  // of a default-options serial probe — a deterministic function of the
-  // component alone, independent of the caller's heuristic configuration.
+  require_enumerable(plan.split);
+  extend_labels(plan.split, plan.labels);
   for (const Component& comp : plan.split.components) {
+    std::vector<phylo::Tree> members;
+    for (const std::size_t c : comp.constraint_indices)
+      members.push_back(constraints[c]);
     if (!comp.enumerable) {
-      for (const std::size_t c : comp.constraint_indices)
-        plan.passthrough.push_back(constraints[c]);
+      plan.passthrough.insert(plan.passthrough.end(), members.begin(),
+                              members.end());
       continue;
     }
-    Options probe;
-    probe.collect_trees = true;
-    probe.collect_limit = 1;
-    probe.stop.max_stand_trees = 1;
-    probe.tree_names = &plan.labels;
-    const Result r = core::run_serial(subset_constraints(constraints, comp),
-                                      probe);
-    if (r.trees.empty()) {
+    ShardProbe p = probe_component(members, plan.labels);
+    if (p.empty)
       plan.empty_component = true;
-      continue;
-    }
-    plan.representatives.push_back(phylo::parse_newick(r.trees.front(),
-                                                       plan.labels));
+    else
+      plan.representatives.push_back(std::move(p.tree));
   }
-
   plan.residual_constraints = plan.representatives;
   plan.residual_constraints.insert(plan.residual_constraints.end(),
                                    plan.passthrough.begin(),
@@ -276,90 +438,9 @@ ShardPlan plan_shards(const std::vector<phylo::Tree>& constraints) {
 Result run_sharded(const std::vector<phylo::Tree>& constraints,
                    const Options& options, const ShardRunOptions& run) {
   core::validate_options(options, core::OptionsSurface::kSharded);
-  ShardPlan plan = plan_shards(constraints);
-  const Options base = shard_options(options);
-
-  Result out;
-  out.reason = StopReason::kCompleted;
-  std::uint64_t product = 1;
-  std::vector<double> makespans;
-  // Collected component stands (internal labels), one sorted list per
-  // enumerable component, feeding the cross-product streamer below.
-  std::vector<std::vector<std::string>> component_stands;
-
-  for (const Component& comp : plan.split.components) {
-    if (!comp.enumerable) continue;
-    Options comp_opts = base;
-    if (options.collect_trees && !plan.empty_component) {
-      comp_opts.collect_trees = true;
-      comp_opts.collect_limit = options.collect_limit;
-      comp_opts.tree_names = &plan.labels;
-    } else {
-      comp_opts.collect_trees = false;
-    }
-    Result r = run_one_shard(subset_constraints(constraints, comp),
-                             comp_opts, run);
-    out.shards.push_back(make_stats(ShardStats::Kind::kComponent,
-                                    comp.taxa.size(),
-                                    comp.constraint_indices.size(), r));
-    accumulate(out, r);
-    product = saturating_mul(product, r.stand_trees, out.count_saturated);
-    makespans.push_back(r.virtual_makespan);
-    if (comp_opts.collect_trees) {
-      // Canonical tuple order must not depend on the backend's worker
-      // interleaving: sort each component's stand lexicographically.
-      std::sort(r.trees.begin(), r.trees.end());
-      component_stands.push_back(std::move(r.trees));
-    }
-  }
-
-  std::uint64_t residual_count = 0;
-  detail::ResidualClosedForm closed;
-  if (run.residual_closed_form && !plan.empty_component)
-    closed = detail::closed_form_residual(plan.split);
-  if (closed.applicable) {
-    std::size_t universe = 0;
-    for (const Component& comp : plan.split.components)
-      universe += comp.taxa.size();
-    ShardStats s;
-    s.kind = ShardStats::Kind::kResidual;
-    s.n_taxa = universe;
-    s.n_constraints = plan.residual_constraints.size();
-    s.stand_trees = closed.count;
-    out.shards.push_back(s);
-    residual_count = closed.count;
-    if (closed.saturated) out.count_saturated = true;
-    product = saturating_mul(product, residual_count, out.count_saturated);
-  } else if (!plan.empty_component) {
-    Options res_opts = base;
-    res_opts.collect_trees = false;
-    const Result r = run_one_shard(plan.residual_constraints, res_opts, run);
-    std::size_t universe = 0;
-    for (const Component& comp : plan.split.components)
-      universe += comp.taxa.size();
-    out.shards.push_back(make_stats(ShardStats::Kind::kResidual, universe,
-                                    plan.residual_constraints.size(), r));
-    accumulate(out, r);
-    residual_count = r.stand_trees;
-    product = saturating_mul(product, residual_count, out.count_saturated);
-    makespans.push_back(r.virtual_makespan);
-  } else {
-    product = 0;
-  }
-
-  out.stand_trees = product;
-  if (run.backend == ShardBackend::kVirtual)
-    out.virtual_makespan = combine_makespans(makespans, run);
-
-  // Cross-product streaming: tuple instances are enumerated serially (they
-  // are interleaving-only and cheap: no component branching remains inside
-  // them). Shared with the incremental session (shard_exec.hpp) so both
-  // drivers stream the identical tree sequence.
-  if (options.collect_trees && product > 0 && !component_stands.empty())
-    detail::stream_cross_product(component_stands, plan.passthrough,
-                                 plan.labels, base, options, residual_count,
-                                 out);
-  return out;
+  phylo::TaxonSet labels;
+  return detail::run_shards(constraints, analyze_components(constraints),
+                            labels, options, run, nullptr);
 }
 
 Result run_serial(const std::vector<phylo::Tree>& constraints,
@@ -372,15 +453,13 @@ Result run_serial(const std::vector<phylo::Tree>& constraints,
 }
 
 Result run_parallel(const std::vector<phylo::Tree>& constraints,
-                    const Options& options, std::size_t n_threads,
-                    parallel::LaunchMode mode) {
+                    const Options& options, std::size_t n_threads) {
   if (options.decompose == core::Decompose::kOff)
     return parallel::run_parallel(core::build_problem(constraints, options),
-                                  options, n_threads, mode);
+                                  options, n_threads);
   ShardRunOptions run;
   run.backend = ShardBackend::kPool;
   run.n_threads = n_threads;
-  run.launch_mode = mode;
   return run_sharded(constraints, options, run);
 }
 

@@ -75,7 +75,6 @@ inline const char* to_string(ShardSchedule s) {
 struct ShardRunOptions {
   ShardBackend backend = ShardBackend::kSerial;
   std::size_t n_threads = 1;  ///< per shard (pool/virtual backends)
-  parallel::LaunchMode launch_mode = parallel::LaunchMode::kStdThread;
   ShardSchedule schedule = ShardSchedule::kSequential;
   vthread::CostModel costs;  ///< virtual backend only
   /// Compute the residual shard's interleaving count in closed form,
@@ -151,10 +150,8 @@ core::Result run_sharded(const std::vector<phylo::Tree>& constraints,
 core::Result run_serial(const std::vector<phylo::Tree>& constraints,
                         const core::Options& options);
 
-core::Result run_parallel(
-    const std::vector<phylo::Tree>& constraints, const core::Options& options,
-    std::size_t n_threads,
-    parallel::LaunchMode mode = parallel::LaunchMode::kStdThread);
+core::Result run_parallel(const std::vector<phylo::Tree>& constraints,
+                          const core::Options& options, std::size_t n_threads);
 
 core::Result run_virtual(const std::vector<phylo::Tree>& constraints,
                          const core::Options& options, std::size_t n_threads,

@@ -6,7 +6,6 @@
 
 #include "decompose/shard_exec.hpp"
 #include "gentrius/problem.hpp"
-#include "gentrius/serial.hpp"
 #include "pam/canonical.hpp"
 #include "phylo/newick.hpp"
 #include "support/error.hpp"
@@ -20,6 +19,7 @@ using core::Result;
 using core::ShardStats;
 using core::StopReason;
 using decompose::Component;
+using decompose::detail::ShardSlot;
 using support::InvalidInput;
 
 constexpr auto kNoRank = static_cast<std::size_t>(-1);
@@ -127,18 +127,8 @@ IncrementalSession::Plan IncrementalSession::analyse(const pam::Pam& pam,
       }
   }
 
-  // Id-stable labels for Newick round-tripping, exactly as plan_shards.
-  // Only Newick written over them is ever parsed against them, so no label
-  // is ever added: a label set is a function of its size.
-  phylo::TaxonId max_id = 0;
-  for (const Component& comp : plan.split.components)
-    max_id = std::max(max_id, comp.taxa.back());
-  if (previous.labels.size() == std::size_t{max_id} + 1) {
-    plan.labels = std::move(previous.labels);
-  } else {
-    for (phylo::TaxonId t = 0; t <= max_id; ++t)
-      plan.labels.add("x" + std::to_string(t));
-  }
+  // The "x<i>" labels only grow (the shard driver extends them).
+  plan.labels = std::move(previous.labels);
   return plan;
 }
 
@@ -204,250 +194,107 @@ Result IncrementalSession::apply(const EditScript& script) {
   return enumerate();
 }
 
-Result IncrementalSession::enumerate() { return run_cached(); }
+/// The session's side of the shard driver (decompose/shard_exec.hpp):
+/// canonicalisation, ResultCache lookups and inserts, and the translation
+/// between session ids and the cache's canonical rank space.
+class IncrementalSession::Hooks final : public decompose::detail::ShardCache {
+ public:
+  explicit Hooks(IncrementalSession& session)
+      : session_(session), plan_(*session.plan_) {}
 
-Result IncrementalSession::run_cached() {
-  namespace detail = decompose::detail;
-
-  Plan& plan = current_plan();
-  const auto& constraints = plan.constraints;
-  const auto& split = plan.split;
-  if (split.enumerable_count == 0)
-    throw InvalidInput(
-        "decompose: no component contains a constraint with >= 3 taxa; "
-        "nothing is enumerable");
-  phylo::TaxonSet& labels = plan.labels;
-
-  const Options base = detail::shard_options(options_.engine);
-  const std::uint64_t evictions_before = cache_.evictions();
-
-  Result out;
-  out.reason = StopReason::kCompleted;
-
-  const bool want_stands = options_.engine.collect_trees;
-  // With the closed-form residual and no stands to collect, nothing
-  // consumes a representative: the residual count is a formula of the
-  // component sizes, and a completed component run settles emptiness by
-  // itself. The one-tree probe then waits until something needs it.
-  const bool defer_probe = options_.run.residual_closed_form && !want_stands &&
-                           split.enumerable_count == split.components.size();
-
-  // ---- plan phase: canonicalize, look up, settle emptiness ----------------
-  struct CompWork {
-    const Component* comp = nullptr;
-    ComponentMemo* memo = nullptr;
-    std::vector<phylo::Tree> sub;  ///< member constraints, built on demand
-    /// Usable hit (stands included if needed), copied OUT of the cache at
-    /// plan time: the run phase inserts recomputed misses, and an insert at
-    /// capacity evicts — a pointer into the cache could dangle before its
-    /// hit is served.
-    std::optional<CacheEntry> hit;
-    bool empty = false;
-  };
-  std::vector<CompWork> work;
-  std::vector<phylo::Tree> passthrough;
-  bool empty_component = false;
-
-  const auto members = [&](CompWork& w) -> const std::vector<phylo::Tree>& {
-    if (w.sub.empty()) w.sub = detail::subset_constraints(constraints, *w.comp);
-    return w.sub;
-  };
-  // Canonical representative probe, byte-identical to plan_shards: a
-  // default-options serial run collecting one tree. Probe work is not
-  // accumulated into the Result (run_sharded's plan phase is not either);
-  // the full shard run recomputes the count.
-  const auto probe = [&](CompWork& w) -> const ComponentMemo::Probe& {
-    if (!w.memo->probe) {
-      Options o;
-      o.collect_trees = true;
-      o.collect_limit = 1;
-      o.stop.max_stand_trees = 1;
-      o.tree_names = &labels;
-      const Result r = core::run_serial(members(w), o);
-      ComponentMemo::Probe p;
-      p.empty = r.trees.empty();
-      if (!p.empty) p.tree = phylo::parse_newick(r.trees.front(), labels);
-      w.memo->probe = std::move(p);
-    }
-    return *w.memo->probe;
-  };
-  const auto rank_labels = [](ComponentMemo& m) -> phylo::TaxonSet& {
-    if (!m.rank_labels) m.rank_labels = rank_parse_labels(m.canon->order);
-    return *m.rank_labels;
-  };
-  // The residual constraint of a component: a hit's cached representative,
-  // translated into session ids; otherwise (a miss, or an entry stored
-  // while its probe was deferred) the probe's tree, as plan_shards has it.
-  const auto representative = [&](CompWork& w) -> const phylo::Tree& {
-    ComponentMemo& m = *w.memo;
-    if (w.hit && !w.hit->representative.empty()) {
-      if (!m.hit_tree || m.hit_newick != w.hit->representative) {
-        m.hit_tree.reset();
-        m.hit_newick = w.hit->representative;
-        m.hit_tree = phylo::parse_newick(m.hit_newick, rank_labels(m));
+  void serve(std::vector<ShardSlot>& slots) override {
+    const Options& engine = session_.options_.engine;
+    for (ShardSlot& slot : slots) {
+      ComponentMemo& memo = plan_.components[slot.index];
+      slot.probe = &memo.probe;
+      if (!memo.canon)
+        memo.canon =
+            core::canonicalize_instance(slot.members(plan_.constraints));
+      const CacheEntry* entry =
+          session_.cache_.find(memo.canon->fp, memo.canon->encoding);
+      // A hit serves stand streaming only when its stand fits the caller's
+      // collect_limit: a from-scratch run truncates each component's
+      // collection at the limit, so serving a larger cached stand would
+      // break byte-equality with run_sharded in the truncated regime.
+      if (!entry ||
+          (engine.collect_trees && entry->stand_trees != 0 &&
+           !(entry->stands_complete &&
+             entry->stands.size() <= engine.collect_limit)))
+        continue;
+      slot.served = true;
+      slot.stats = entry->stats;
+      if (memo.hit_newick != entry->representative) {
+        memo.hit_newick = entry->representative;
+        memo.hit_tree.reset();
       }
-      return *m.hit_tree;
-    }
-    return probe(w).tree;
-  };
-
-  for (std::size_t i = 0; i < split.components.size(); ++i) {
-    const Component& comp = split.components[i];
-    if (!comp.enumerable) {
-      for (const std::size_t c : comp.constraint_indices)
-        passthrough.push_back(constraints[c]);
-      continue;
-    }
-    CompWork w;
-    w.comp = &comp;
-    w.memo = &plan.components[i];
-    if (!w.memo->canon)
-      w.memo->canon = core::canonicalize_instance(members(w));
-    const core::CanonicalInstance& canon = *w.memo->canon;
-    const CacheEntry* entry = cache_.find(canon.fp, canon.encoding);
-    // A hit serves stand streaming only when its stand fits the caller's
-    // collect_limit: a from-scratch run truncates each component's
-    // collection at the limit, so serving a larger cached stand would break
-    // byte-equality with run_sharded in the truncated regime.
-    if (entry && (!want_stands || entry->stand_trees == 0 ||
-                  (entry->stands_complete &&
-                   entry->stands.size() <= options_.engine.collect_limit))) {
-      w.hit = *entry;
-      w.empty = entry->stand_trees == 0;
-    } else if (!defer_probe) {
-      w.empty = probe(w).empty;
-    }
-    if (w.empty) empty_component = true;
-    work.push_back(std::move(w));
-  }
-
-  // ---- run phase: serve clean components, re-enumerate dirty ones ---------
-  std::uint64_t product = 1;
-  std::vector<double> makespans;  // executed shards only: a cached shard
-                                  // costs no dispatch, run, or merge
-  std::vector<std::vector<std::string>> component_stands;
-  const bool collect = want_stands && !empty_component;
-
-  for (CompWork& w : work) {
-    const Component& comp = *w.comp;
-    if (w.hit) {
-      ShardStats s = w.hit->stats;
-      s.reused = true;
-      out.shards.push_back(s);
-      product =
-          detail::saturating_mul(product, w.hit->stand_trees,
-                                 out.count_saturated);
-      if (collect) {
+      if (engine.collect_trees) {
         // Cached stands live in rank space; translate into session labels
         // through the engine's canonical Newick so the streamed tuples are
         // byte-identical to a from-scratch run's.
-        phylo::TaxonSet& parse_ts = rank_labels(*w.memo);
-        std::vector<std::string> stands;
-        stands.reserve(w.hit->stands.size());
-        for (const std::string& s_rank : w.hit->stands)
-          stands.push_back(phylo::canonical_newick(
-              phylo::parse_newick(s_rank, parse_ts), labels));
-        std::sort(stands.begin(), stands.end());
-        component_stands.push_back(std::move(stands));
+        phylo::TaxonSet& parse_ts = rank_labels(memo);
+        slot.stands.reserve(entry->stands.size());
+        for (const std::string& s_rank : entry->stands)
+          slot.stands.push_back(phylo::canonical_newick(
+              phylo::parse_newick(s_rank, parse_ts), plan_.labels));
+        std::sort(slot.stands.begin(), slot.stands.end());
       }
-      out.cache.hits += 1;
-      out.cache.reused_components += 1;
-      out.cache.reused_states += w.hit->stats.intermediate_states;
-      continue;
+      stats_.hits += 1;
+      stats_.reused_components += 1;
+      stats_.reused_states += entry->stats.intermediate_states;
     }
+  }
 
-    Options comp_opts = base;
-    if (collect) {
-      comp_opts.collect_trees = true;
-      comp_opts.collect_limit = options_.engine.collect_limit;
-      comp_opts.tree_names = &labels;
-    } else {
-      comp_opts.collect_trees = false;
-    }
-    Result r = detail::run_one_shard(members(w), comp_opts, options_.run);
-    const ShardStats stats =
-        detail::make_stats(ShardStats::Kind::kComponent, comp.taxa.size(),
-                           comp.constraint_indices.size(), r);
-    out.shards.push_back(stats);
-    detail::accumulate(out, r);
-    product = detail::saturating_mul(product, r.stand_trees,
-                                     out.count_saturated);
-    makespans.push_back(r.virtual_makespan);
-    out.cache.misses += 1;
-    out.cache.recomputed_components += 1;
-    out.cache.recomputed_states += r.intermediate_states;
-
-    if (collect) std::sort(r.trees.begin(), r.trees.end());
-
-    const bool completed = r.reason == StopReason::kCompleted ||
-                           r.reason == StopReason::kEmptyStand;
-    if (defer_probe) {
-      // A completed run settles emptiness; one cut by a stopping rule does
-      // not, so that component is probed as plan_shards would.
-      w.empty = completed ? r.stand_trees == 0 : probe(w).empty;
-      if (w.empty) empty_component = true;
-    }
-
-    // Only completed runs are cacheable: a truncated count is a property
-    // of the stopping rules, not of the instance.
-    if (completed) {
-      const core::CanonicalInstance& canon = *w.memo->canon;
+  void record(const std::vector<ShardSlot>& slots, bool collected) override {
+    for (const ShardSlot& slot : slots) {
+      if (slot.served) continue;
+      stats_.misses += 1;
+      stats_.recomputed_components += 1;
+      stats_.recomputed_states += slot.stats.intermediate_states;
+      // Only completed runs are cacheable: a truncated count is a property
+      // of the stopping rules, not of the instance.
+      if (slot.stats.reason != StopReason::kCompleted &&
+          slot.stats.reason != StopReason::kEmptyStand)
+        continue;
+      const ComponentMemo& memo = plan_.components[slot.index];
+      const core::CanonicalInstance& canon = *memo.canon;
       CacheEntry entry;
       entry.encoding = canon.encoding;
-      entry.stand_trees = r.stand_trees;
-      entry.stats = stats;
+      entry.stand_trees = slot.stats.stand_trees;
+      entry.stats = slot.stats;
       const auto rank = rank_of_taxon(canon.order);
       // Without a probe (deferred) the entry carries no representative; a
       // later residual run probes the component instead.
-      if (w.memo->probe && !w.memo->probe->empty)
-        entry.representative = core::rank_newick(w.memo->probe->tree, rank);
-      if (collect && r.trees.size() == r.stand_trees) {
-        entry.stands.reserve(r.trees.size());
-        for (const std::string& s_x : r.trees)
+      if (memo.probe && !memo.probe->empty)
+        entry.representative = core::rank_newick(memo.probe->tree, rank);
+      if (collected && slot.stands.size() == slot.stats.stand_trees) {
+        entry.stands.reserve(slot.stands.size());
+        for (const std::string& s_x : slot.stands)
           entry.stands.push_back(
-              core::rank_newick(phylo::parse_newick(s_x, labels), rank));
+              core::rank_newick(phylo::parse_newick(s_x, plan_.labels), rank));
         std::sort(entry.stands.begin(), entry.stands.end());
         entry.stands_complete = true;
       }
-      cache_.insert(canon.fp, std::move(entry));
+      session_.cache_.insert(canon.fp, std::move(entry));
     }
-
-    if (collect) component_stands.push_back(std::move(r.trees));
   }
 
-  // ---- residual shard: cached by its size signature -----------------------
-  std::uint64_t residual_count = 0;
-  decompose::detail::ResidualClosedForm closed;
-  if (options_.run.residual_closed_form && !empty_component)
-    closed = detail::closed_form_residual(split);
-  if (closed.applicable) {
-    // Closed form costs nothing, so it bypasses the cache entirely (no
-    // hit/miss traffic): M is a formula of the size signature, not a run.
+  std::optional<ShardStats> serve_residual(
+      std::vector<ShardSlot>& slots,
+      const std::vector<phylo::Tree>& passthrough) override {
+    // The residual is keyed by its size signature (universe size + sorted
+    // enumerable component sizes) plus the pass-through constraints.
     std::size_t universe = 0;
-    for (const Component& comp : split.components)
-      universe += comp.taxa.size();
-    ShardStats s;
-    s.kind = ShardStats::Kind::kResidual;
-    s.n_taxa = universe;
-    s.n_constraints = work.size() + passthrough.size();
-    s.stand_trees = closed.count;
-    out.shards.push_back(s);
-    residual_count = closed.count;
-    if (closed.saturated) out.count_saturated = true;
-    product = detail::saturating_mul(product, residual_count,
-                                     out.count_saturated);
-  } else if (!empty_component) {
-    std::size_t universe = 0;
-    for (const Component& comp : split.components)
-      universe += comp.taxa.size();
     std::vector<std::size_t> sizes;
-    for (const CompWork& w : work) sizes.push_back(w.comp->taxa.size());
+    for (const Component& comp : plan_.split.components) {
+      universe += comp.taxa.size();
+      if (comp.enumerable) sizes.push_back(comp.taxa.size());
+    }
     std::sort(sizes.begin(), sizes.end());
-    std::string res_encoding =
+    residual_encoding_ =
         "gentrius-residual-v2 n=" + std::to_string(universe) + " sizes=";
     for (std::size_t i = 0; i < sizes.size(); ++i) {
-      if (i) res_encoding.push_back(',');
-      res_encoding += std::to_string(sizes[i]);
+      if (i) residual_encoding_.push_back(',');
+      residual_encoding_ += std::to_string(sizes[i]);
     }
     // Pass-through constraints (<= 2 taxa each) are vacuous in theory, but
     // closed_form_residual refuses to count across them — the cache must
@@ -456,75 +303,68 @@ Result IncrementalSession::run_cached() {
     std::vector<std::string> pass_enc;
     pass_enc.reserve(passthrough.size());
     for (const phylo::Tree& t : passthrough)
-      pass_enc.push_back(phylo::canonical_newick(t, labels));
+      pass_enc.push_back(phylo::canonical_newick(t, plan_.labels));
     std::sort(pass_enc.begin(), pass_enc.end());
-    res_encoding += " pass=";
+    residual_encoding_ += " pass=";
     for (std::size_t i = 0; i < pass_enc.size(); ++i) {
-      if (i) res_encoding.push_back(';');
-      res_encoding += pass_enc[i];
+      if (i) residual_encoding_.push_back(';');
+      residual_encoding_ += pass_enc[i];
     }
-    res_encoding.push_back('\n');
-    const support::Fingerprint res_fp =
-        support::fingerprint_bytes(res_encoding);
-    const std::size_t residual_size = work.size() + passthrough.size();
+    residual_encoding_.push_back('\n');
+    residual_fp_ = support::fingerprint_bytes(residual_encoding_);
 
-    if (const CacheEntry* entry = cache_.find(res_fp, res_encoding)) {
-      // The interleaving count M depends only on the size signature
-      // (DESIGN.md "Decomposition") and the pass-through constraints the
-      // key carries verbatim, so any cached completed residual of this
-      // encoding carries the exact count — whatever representatives it was
-      // computed from.
-      ShardStats s = entry->stats;
-      s.reused = true;
-      s.n_taxa = universe;
-      s.n_constraints = residual_size;
-      out.shards.push_back(s);
-      residual_count = entry->stand_trees;
-      product = detail::saturating_mul(product, residual_count,
-                                       out.count_saturated);
-      out.cache.hits += 1;
-      out.cache.reused_states += entry->stats.intermediate_states;
-    } else {
-      std::vector<phylo::Tree> residual_constraints;
-      residual_constraints.reserve(residual_size);
-      for (CompWork& w : work)
-        residual_constraints.push_back(representative(w));
-      residual_constraints.insert(residual_constraints.end(),
-                                  passthrough.begin(), passthrough.end());
-      Options res_opts = base;
-      res_opts.collect_trees = false;
-      const Result r =
-          detail::run_one_shard(residual_constraints, res_opts, options_.run);
-      const ShardStats stats = detail::make_stats(
-          ShardStats::Kind::kResidual, universe, residual_size, r);
-      out.shards.push_back(stats);
-      detail::accumulate(out, r);
-      residual_count = r.stand_trees;
-      product = detail::saturating_mul(product, residual_count,
-                                       out.count_saturated);
-      makespans.push_back(r.virtual_makespan);
-      out.cache.misses += 1;
-      out.cache.recomputed_states += r.intermediate_states;
-      if (r.reason == StopReason::kCompleted) {
-        CacheEntry residual;
-        residual.encoding = res_encoding;
-        residual.stand_trees = r.stand_trees;
-        residual.stats = stats;
-        cache_.insert(res_fp, std::move(residual));
-      }
+    if (const CacheEntry* entry =
+            session_.cache_.find(residual_fp_, residual_encoding_)) {
+      stats_.hits += 1;
+      stats_.reused_states += entry->stats.intermediate_states;
+      return entry->stats;
     }
-  } else {
-    product = 0;
+    // The residual runs: a served component contributes its cached
+    // representative, translated into session ids.
+    for (ShardSlot& slot : slots) {
+      ComponentMemo& memo = plan_.components[slot.index];
+      if (!slot.served || memo.hit_newick.empty()) continue;
+      if (!memo.hit_tree)
+        memo.hit_tree = phylo::parse_newick(memo.hit_newick, rank_labels(memo));
+      slot.representative = &*memo.hit_tree;
+    }
+    return std::nullopt;
   }
 
-  out.stand_trees = product;
-  if (options_.run.backend == decompose::ShardBackend::kVirtual)
-    out.virtual_makespan = detail::combine_makespans(makespans, options_.run);
+  void record_residual(const ShardStats& stats) override {
+    stats_.misses += 1;
+    stats_.recomputed_states += stats.intermediate_states;
+    if (stats.reason != StopReason::kCompleted) return;
+    CacheEntry residual;
+    residual.encoding = std::move(residual_encoding_);
+    residual.stand_trees = stats.stand_trees;
+    residual.stats = stats;
+    session_.cache_.insert(residual_fp_, std::move(residual));
+  }
 
-  if (collect && product > 0 && !component_stands.empty())
-    detail::stream_cross_product(component_stands, passthrough, labels, base,
-                                 options_.engine, residual_count, out);
+  const core::CacheStats& stats() const noexcept { return stats_; }
 
+ private:
+  static phylo::TaxonSet& rank_labels(ComponentMemo& m) {
+    if (!m.rank_labels) m.rank_labels = rank_parse_labels(m.canon->order);
+    return *m.rank_labels;
+  }
+
+  IncrementalSession& session_;
+  Plan& plan_;
+  core::CacheStats stats_;
+  std::string residual_encoding_;
+  support::Fingerprint residual_fp_;
+};
+
+Result IncrementalSession::enumerate() {
+  Plan& plan = current_plan();
+  const std::uint64_t evictions_before = cache_.evictions();
+  Hooks hooks(*this);
+  Result out =
+      decompose::detail::run_shards(plan.constraints, plan.split, plan.labels,
+                                    options_.engine, options_.run, &hooks);
+  out.cache = hooks.stats();
   out.cache.evictions = cache_.evictions() - evictions_before;
   lifetime_.merge(out.cache);
   return out;

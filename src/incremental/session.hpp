@@ -1,16 +1,18 @@
 // Incremental re-enumeration of a live dataset under PAM edits.
 //
 // An IncrementalSession owns a species tree, a presence/absence matrix, and
-// a fingerprint-keyed ResultCache. Each re-enumeration decomposes the
-// current induced constraint set into interaction-graph components
-// (src/decompose), canonicalizes every component, and serves clean
-// components — those whose canonical fingerprint hits the cache — without
-// expanding a single state. Only dirty components run through the engine
-// (serial / pool / virtual backends, exactly as run_sharded would run
-// them); counts recombine by the shared saturating product and stands by
-// the shared cross-product streamer (decompose/shard_exec.hpp), so the
-// combined Result's count and stand set are byte-equal to a from-scratch
-// decompose::run_sharded of the same instance at every edit step.
+// a fingerprint-keyed ResultCache. Each re-enumeration is a run of the shard
+// driver (decompose::detail::run_shards, decompose/shard_exec.hpp) — the
+// same loop decompose::run_sharded runs — with the session plugged in as
+// its ShardCache. The session canonicalizes every enumerable component and
+// serves those whose canonical fingerprint hits the cache without expanding
+// a single state; the driver runs the rest (serial / pool / virtual
+// backends), settles emptiness, takes the residual, rolls up the Result and
+// streams the stands. Counts, stand sets and shard order therefore equal a
+// from-scratch run_sharded of the same instance by construction. With the
+// cache off the whole Result does, but for seconds and Result::cache; with
+// it on, a served shard carries its cached rollup marked ShardStats::reused
+// and adds nothing to the sums of executed work.
 //
 // The residual shard — whose interleaving count M usually dominates a
 // from-scratch run — is cached by its size signature (universe size +
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "decompose/components.hpp"
+#include "decompose/shard_exec.hpp"
 #include "decompose/sharded.hpp"
 #include "gentrius/options.hpp"
 #include "gentrius/problem.hpp"
@@ -113,14 +116,10 @@ class IncrementalSession {
     std::optional<core::CanonicalInstance> canon;
     /// Rank-label parse set of canon->order (rank_parse_labels).
     std::optional<phylo::TaxonSet> rank_labels;
-    /// The one-tree representative probe, exactly as plan_shards runs it.
-    struct Probe {
-      bool empty = false;
-      phylo::Tree tree;  ///< session ids; meaningless when empty
-    };
-    std::optional<Probe> probe;
-    /// A cache hit's representative parsed into session ids, keyed by the
-    /// rank-label Newick it was parsed from (and canon->order via the key).
+    /// The representative probe, filled by the shard driver on demand.
+    std::optional<decompose::detail::ShardProbe> probe;
+    /// The representative of the latest cache hit, rank-label Newick, and
+    /// (parsed when a residual run needs it) the same tree in session ids.
     std::string hit_newick;
     std::optional<phylo::Tree> hit_tree;
   };
@@ -136,7 +135,7 @@ class IncrementalSession {
     decompose::ComponentSplit split;
     /// Parallel to split.components; non-enumerable entries stay empty.
     std::vector<ComponentMemo> components;
-    /// Id-stable labels "x<i>" for i <= max component taxon id.
+    /// Id-stable labels "x<i>" (see decompose::detail::run_shards).
     phylo::TaxonSet labels;
   };
 
@@ -145,7 +144,8 @@ class IncrementalSession {
   Plan analyse(const pam::Pam& pam, Plan& previous) const;
   /// plan_, analysed from pam_ first when the memo is empty.
   Plan& current_plan();
-  core::Result run_cached();
+
+  class Hooks;  ///< the session's ShardCache
 
   phylo::Tree species_;
   pam::Pam pam_;

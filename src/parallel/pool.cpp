@@ -11,10 +11,6 @@
 #include "support/invariant.hpp"
 #include "support/stopwatch.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace gentrius::parallel {
 
 using core::CounterSink;
@@ -204,7 +200,7 @@ Result assemble(const CounterSink& sink, std::vector<WorkerOutput>& outputs,
 }
 
 Result run_pool(const Problem& problem, const Options& options,
-                std::size_t n_threads, LaunchMode mode, bool work_stealing) {
+                std::size_t n_threads, bool work_stealing) {
   core::validate_options(options, core::OptionsSurface::kSingleInstance);
   // Wall clock for Result::seconds (reported diagnostics, never a
   // scheduling input) and for stopping rule 3, real-time by definition.
@@ -233,23 +229,6 @@ Result run_pool(const Problem& problem, const Options& options,
     return assemble(sink, outputs, driver, clock.seconds());
   }
 
-#ifdef _OPENMP
-  if (mode == LaunchMode::kOpenMP) {
-    // Paper fidelity: OpenMP creates/destroys the threads while the
-    // condition-variable synchronization stays with the C++ thread library.
-#pragma omp parallel num_threads(static_cast<int>(n_threads))
-    {
-      const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-      worker_body(tid, n_threads, problem, options, sink, driver,
-                  outputs[tid]);
-    }
-    sink.set_stop_waker(nullptr);
-    return assemble(sink, outputs, driver, clock.seconds());
-  }
-#else
-  (void)mode;
-#endif
-
   {
     std::vector<std::jthread> threads;
     threads.reserve(n_threads);
@@ -267,22 +246,13 @@ Result run_pool(const Problem& problem, const Options& options,
 }  // namespace
 
 Result run_parallel(const Problem& problem, const Options& options,
-                    std::size_t n_threads, LaunchMode mode) {
-  return run_pool(problem, options, n_threads, mode, /*work_stealing=*/true);
+                    std::size_t n_threads) {
+  return run_pool(problem, options, n_threads, /*work_stealing=*/true);
 }
 
 Result run_static_split(const Problem& problem, const Options& options,
                         std::size_t n_threads) {
-  return run_pool(problem, options, n_threads, LaunchMode::kStdThread,
-                  /*work_stealing=*/false);
-}
-
-bool openmp_available() noexcept {
-#ifdef _OPENMP
-  return true;
-#else
-  return false;
-#endif
+  return run_pool(problem, options, n_threads, /*work_stealing=*/false);
 }
 
 }  // namespace gentrius::parallel

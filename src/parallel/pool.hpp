@@ -9,13 +9,9 @@
 
 namespace gentrius::parallel {
 
-/// How worker threads are launched. The paper creates threads with OpenMP
-/// and synchronizes with std::condition_variable/std::mutex; kOpenMP mirrors
-/// that combination (available when compiled with OpenMP support), kStdThread
-/// uses std::jthread directly. Identical results either way.
-enum class LaunchMode { kStdThread, kOpenMP };
-
-/// Runs parallel Gentrius with n_threads workers.
+/// Runs parallel Gentrius with n_threads std::jthread workers. (The paper
+/// launches its workers with OpenMP; that launch measured no faster,
+/// docs/PERFORMANCE.md §3.)
 ///
 /// Every worker owns a private Terrace (agile tree + mappings), replays the
 /// deterministic forced prefix to the initial split state I0, takes its
@@ -25,16 +21,12 @@ enum class LaunchMode { kStdThread, kOpenMP };
 /// describes. With stopping rules disabled the result (tree/state/dead-end
 /// counts, and the collected stand) is identical to run_serial.
 core::Result run_parallel(const core::Problem& problem,
-                          const core::Options& options, std::size_t n_threads,
-                          LaunchMode mode = LaunchMode::kStdThread);
+                          const core::Options& options, std::size_t n_threads);
 
 /// Ablation baseline: initial split only, no work stealing (tasks are never
 /// offered). Demonstrates the load imbalance the thread pool removes.
 core::Result run_static_split(const core::Problem& problem,
                               const core::Options& options,
                               std::size_t n_threads);
-
-/// True when the OpenMP launch mode is available in this build.
-bool openmp_available() noexcept;
 
 }  // namespace gentrius::parallel

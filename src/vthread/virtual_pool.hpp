@@ -16,10 +16,11 @@
 //
 // Because workers are stepped in virtual-time order by a single OS thread,
 // the simulation is fully deterministic and repeatable. That guarantee is
-// enforced mechanically: tools/lint_determinism.py (a CTest test) rejects
-// wall-clock reads, ambient randomness and unordered iteration in this
-// directory, and the scheduler state is guarded by a Clang thread-safety
-// SequentialRole capability (see docs/TOOLING.md).
+// enforced mechanically: `python3 tools/gentrius_lint --rules determinism`
+// (the lint_determinism CTest test) rejects wall-clock reads, ambient
+// randomness and unordered iteration in this directory, and the scheduler
+// state is guarded by a Clang thread-safety SequentialRole capability (see
+// docs/TOOLING.md).
 #pragma once
 
 #include <cstddef>

@@ -632,6 +632,108 @@ TEST(SessionDifferential, DeferredProbeServesALaterResidualRun) {
               "collected");
 }
 
+void expect_same_sched(const core::SchedulerStats& a,
+                       const core::SchedulerStats& b) {
+  EXPECT_EQ(a.tasks_stolen, b.tasks_stolen);
+  EXPECT_EQ(a.steal_attempts, b.steal_attempts);
+  EXPECT_EQ(a.failed_steal_probes, b.failed_steal_probes);
+  EXPECT_EQ(a.queue_full_rejections, b.queue_full_rejections);
+  EXPECT_EQ(a.max_queue_depth, b.max_queue_depth);
+  EXPECT_EQ(a.offers_evaluated, b.offers_evaluated);
+  EXPECT_EQ(a.offers_suppressed, b.offers_suppressed);
+  EXPECT_EQ(a.predicted_task_states, b.predicted_task_states);
+  EXPECT_EQ(a.adopted_predicted_states, b.adopted_predicted_states);
+  EXPECT_EQ(a.adopted_actual_states, b.adopted_actual_states);
+}
+
+void expect_same_selection(const core::SelectionStats& a,
+                           const core::SelectionStats& b) {
+  EXPECT_EQ(a.fresh_counts, b.fresh_counts);
+  EXPECT_EQ(a.cached_counts, b.cached_counts);
+  EXPECT_EQ(a.existence_checks, b.existence_checks);
+  EXPECT_EQ(a.mappings_rebuilt, b.mappings_rebuilt);
+}
+
+/// Every Result field but `seconds` and `cache`, stands sorted.
+void expect_same_fields(Result got, Result ref, const std::string& where) {
+  SCOPED_TRACE(where);
+  EXPECT_EQ(got.stand_trees, ref.stand_trees);
+  EXPECT_EQ(got.intermediate_states, ref.intermediate_states);
+  EXPECT_EQ(got.dead_ends, ref.dead_ends);
+  EXPECT_EQ(got.reason, ref.reason);
+  EXPECT_EQ(got.initial_split_branches, ref.initial_split_branches);
+  EXPECT_EQ(got.prefix_length, ref.prefix_length);
+  EXPECT_EQ(got.tasks_executed, ref.tasks_executed);
+  EXPECT_EQ(got.tasks_offered, ref.tasks_offered);
+  expect_same_sched(got.sched, ref.sched);
+  expect_same_selection(got.selection, ref.selection);
+  EXPECT_EQ(got.virtual_makespan, ref.virtual_makespan);
+  EXPECT_EQ(got.count_saturated, ref.count_saturated);
+  ASSERT_EQ(got.shards.size(), ref.shards.size());
+  for (std::size_t i = 0; i < ref.shards.size(); ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    const core::ShardStats& a = got.shards[i];
+    const core::ShardStats& b = ref.shards[i];
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.n_taxa, b.n_taxa);
+    EXPECT_EQ(a.n_constraints, b.n_constraints);
+    EXPECT_EQ(a.stand_trees, b.stand_trees);
+    EXPECT_EQ(a.intermediate_states, b.intermediate_states);
+    EXPECT_EQ(a.dead_ends, b.dead_ends);
+    EXPECT_EQ(a.reason, b.reason);
+    expect_same_selection(a.selection, b.selection);
+    expect_same_sched(a.sched, b.sched);
+    EXPECT_EQ(a.virtual_makespan, b.virtual_makespan);
+    EXPECT_EQ(a.reused, b.reused);
+  }
+  EXPECT_EQ(sorted_trees(got), sorted_trees(ref));
+}
+
+TEST(SessionDifferential, UncachedSessionEqualsRunShardedFieldForField) {
+  // With caching off the session serves nothing, so every run goes through
+  // the shard driver exactly as run_sharded does: the whole Result must
+  // match, not just counts and stands — per-shard rollups with their
+  // scheduler and selection stats, sums, tasks and virtual makespans.
+  for (const auto backend :
+       {decompose::ShardBackend::kSerial, decompose::ShardBackend::kVirtual})
+    for (const bool closed_form : {false, true})
+      for (const bool collect : {false, true})
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+          const auto ds =
+              benchutil::make_multi_component(params_for_seed(seed, 2));
+          Options opts = engine_options(ds.taxa);
+          opts.collect_trees = collect;
+          SessionOptions so;
+          so.engine = opts;
+          so.cache_capacity = 0;
+          so.run.backend = backend;
+          so.run.n_threads = 4;
+          so.run.residual_closed_form = closed_form;
+          SCOPED_TRACE(ds.name + " backend=" + decompose::to_string(backend) +
+                       " closed_form=" + std::to_string(closed_form) +
+                       " collect=" + std::to_string(collect));
+          IncrementalSession session(ds.species_tree, ds.pam, so);
+          pam::Pam shadow = ds.pam;
+          const auto reference = [&] {
+            const auto decomp = decompose::analyze_pam(ds.species_tree, shadow);
+            return decompose::run_sharded(decomp.constraints, opts, so.run);
+          };
+
+          expect_same_fields(session.enumerate(), reference(), "initial");
+          support::Rng rng(seed * 101 + 9);
+          for (int step = 0; step < 3; ++step) {
+            const auto edit = random_edit(shadow, rng);
+            if (!edit) break;
+            Result inc = session.apply(*edit);
+            incremental::apply_edit(shadow, *edit);
+            EXPECT_EQ(inc.cache.hits, 0u);
+            expect_same_fields(std::move(inc), reference(),
+                               "step " + std::to_string(step));
+          }
+          expect_same_fields(session.enumerate(), reference(), "read");
+        }
+}
+
 TEST(SessionDifferential, RejectsUnusableConfigurations) {
   const auto ds = benchutil::make_multi_component(params_for_seed(1, 2));
   SessionOptions so;
