@@ -7,12 +7,14 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "benchutil/corpus.hpp"
 #include "decompose/components.hpp"
 #include "decompose/shard_exec.hpp"
 #include "decompose/sharded.hpp"
+#include "phylo/newick.hpp"
 #include "support/rng.hpp"
 #include "testutil.hpp"
 
@@ -78,6 +80,58 @@ TEST(ClosedFormResidual, MatchesEnumeratedDriverOverRandomSeeds) {
     EXPECT_EQ(res_closed.stand_trees, res_enum.stand_trees);
     EXPECT_EQ(res_closed.intermediate_states, 0u);
     EXPECT_LT(closed.intermediate_states, enumerated.intermediate_states);
+  }
+}
+
+std::vector<std::string> trace_lines(const Result& r) {
+  std::vector<std::string> lines;
+  for (const ShardStats& s : r.shards)
+    lines.push_back(decompose::shard_trace_line(s));
+  return lines;
+}
+
+// With the closed form and no stands to collect, run_sharded defers the
+// representative probe: a completed component run settles emptiness, a run
+// cut by a stopping rule is probed. Collecting stands forces the eager
+// probe, so both paths must agree on every shard and on the count.
+TEST(ClosedFormResidual, DeferredProbeSettlesEmptinessLikeTheEagerProbe) {
+  decompose::ShardRunOptions closed_run;
+  closed_run.residual_closed_form = true;
+  Options deferred;
+  Options eager;
+  eager.collect_trees = true;
+
+  // An empty component: its completed run settles emptiness, and no
+  // residual shard follows.
+  phylo::TaxonSet taxa;
+  std::vector<phylo::Tree> constraints;
+  constraints.push_back(phylo::parse_newick("((a0,a1),(a2,a3));", taxa));
+  constraints.push_back(phylo::parse_newick("((a0,a2),(a1,a3));", taxa));
+  constraints.push_back(phylo::parse_newick("((b0,b1),(b2,b3));", taxa));
+  const Result empty_deferred =
+      decompose::run_sharded(constraints, deferred, closed_run);
+  const Result empty_eager =
+      decompose::run_sharded(constraints, eager, closed_run);
+  EXPECT_EQ(empty_deferred.stand_trees, 0u);
+  EXPECT_EQ(empty_deferred.shards.size(), 2u);
+  EXPECT_EQ(trace_lines(empty_deferred), trace_lines(empty_eager));
+
+  // Component runs cut before their first stand tree: the cut does not
+  // make a component empty, so the residual shard still follows.
+  deferred.stop.max_states = 1;
+  eager.stop.max_states = 1;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto ds = benchutil::make_multi_component(params_for_seed(seed));
+    SCOPED_TRACE(ds.name);
+    const Result cut_deferred =
+        decompose::run_sharded(ds.constraints, deferred, closed_run);
+    const Result cut_eager =
+        decompose::run_sharded(ds.constraints, eager, closed_run);
+    ASSERT_FALSE(cut_deferred.shards.empty());
+    EXPECT_EQ(cut_deferred.shards.back().kind, ShardStats::Kind::kResidual);
+    EXPECT_EQ(cut_deferred.reason, cut_eager.reason);
+    EXPECT_EQ(cut_deferred.stand_trees, cut_eager.stand_trees);
+    EXPECT_EQ(trace_lines(cut_deferred), trace_lines(cut_eager));
   }
 }
 
