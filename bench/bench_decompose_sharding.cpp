@@ -56,17 +56,15 @@ int main() {
               split.enumerable_count);
 
   const auto problem = core::build_problem(dataset.constraints, options);
-  core::Options sharded_opts = options;
-  sharded_opts.decompose = core::Decompose::kComponents;
 
   for (const std::size_t nt : {1UL, 2UL, 4UL, 8UL}) {
     const auto mono = vthread::run_virtual(problem, options, nt);
-    const auto seq = decompose::run_virtual(
-        dataset.constraints, sharded_opts, nt, {},
-        decompose::ShardSchedule::kSequential);
-    const auto conc = decompose::run_virtual(
-        dataset.constraints, sharded_opts, nt, {},
-        decompose::ShardSchedule::kConcurrent);
+    decompose::ShardRunOptions run;
+    run.backend = decompose::ShardBackend::kVirtual;
+    run.n_threads = nt;
+    const auto seq = decompose::run_sharded(dataset.constraints, options, run);
+    run.schedule = decompose::ShardSchedule::kConcurrent;
+    const auto conc = decompose::run_sharded(dataset.constraints, options, run);
     std::printf(
         "SHARD nt=%zu mono_makespan=%.1f sharded_seq_makespan=%.1f "
         "sharded_conc_makespan=%.1f speedup_seq=%.3f speedup_conc=%.3f "

@@ -79,14 +79,14 @@ int main(int argc, char** argv) {
 
   std::printf("\n%8s | %14s | %14s %8s | %14s %8s\n", "threads", "monolithic",
               "shard seq", "speedup", "shard conc", "speedup");
-  core::Options vopts = options;
-  vopts.decompose = core::Decompose::kComponents;
   for (const std::size_t t : {1u, 2u, 4u, 8u}) {
     const auto m = vthread::run_virtual(problem, options, t);
-    const auto seq = decompose::run_virtual(dataset.constraints, vopts, t, {},
-                                            decompose::ShardSchedule::kSequential);
-    const auto conc = decompose::run_virtual(dataset.constraints, vopts, t, {},
-                                             decompose::ShardSchedule::kConcurrent);
+    decompose::ShardRunOptions run;
+    run.backend = decompose::ShardBackend::kVirtual;
+    run.n_threads = t;
+    const auto seq = decompose::run_sharded(dataset.constraints, options, run);
+    run.schedule = decompose::ShardSchedule::kConcurrent;
+    const auto conc = decompose::run_sharded(dataset.constraints, options, run);
     std::printf("%8zu | %14.1f | %14.1f %8.2f | %14.1f %8.2f\n", t,
                 m.virtual_makespan, seq.virtual_makespan,
                 m.virtual_makespan / seq.virtual_makespan,

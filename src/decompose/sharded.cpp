@@ -443,38 +443,4 @@ Result run_sharded(const std::vector<phylo::Tree>& constraints,
                             labels, options, run, nullptr);
 }
 
-Result run_serial(const std::vector<phylo::Tree>& constraints,
-                  const Options& options) {
-  if (options.decompose == core::Decompose::kOff)
-    return core::run_serial(constraints, options);
-  ShardRunOptions run;
-  run.backend = ShardBackend::kSerial;
-  return run_sharded(constraints, options, run);
-}
-
-Result run_parallel(const std::vector<phylo::Tree>& constraints,
-                    const Options& options, std::size_t n_threads) {
-  if (options.decompose == core::Decompose::kOff)
-    return parallel::run_parallel(core::build_problem(constraints, options),
-                                  options, n_threads);
-  ShardRunOptions run;
-  run.backend = ShardBackend::kPool;
-  run.n_threads = n_threads;
-  return run_sharded(constraints, options, run);
-}
-
-Result run_virtual(const std::vector<phylo::Tree>& constraints,
-                   const Options& options, std::size_t n_threads,
-                   const vthread::CostModel& costs, ShardSchedule schedule) {
-  if (options.decompose == core::Decompose::kOff)
-    return vthread::run_virtual(core::build_problem(constraints, options),
-                                options, n_threads, costs);
-  ShardRunOptions run;
-  run.backend = ShardBackend::kVirtual;
-  run.n_threads = n_threads;
-  run.schedule = schedule;
-  run.costs = costs;
-  return run_sharded(constraints, options, run);
-}
-
 }  // namespace gentrius::decompose

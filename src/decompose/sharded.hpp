@@ -141,21 +141,4 @@ core::Result run_sharded(const std::vector<phylo::Tree>& constraints,
                          const core::Options& options,
                          const ShardRunOptions& run = {});
 
-// ---- decompose-aware entry points -----------------------------------------
-// Dispatch on options.decompose: kOff forwards to the paper-faithful
-// single-instance driver, kComponents to run_sharded with the matching
-// backend. These are the drop-in replacements callers use when they want
-// Options::decompose honored rather than rejected.
-
-core::Result run_serial(const std::vector<phylo::Tree>& constraints,
-                        const core::Options& options);
-
-core::Result run_parallel(const std::vector<phylo::Tree>& constraints,
-                          const core::Options& options, std::size_t n_threads);
-
-core::Result run_virtual(const std::vector<phylo::Tree>& constraints,
-                         const core::Options& options, std::size_t n_threads,
-                         const vthread::CostModel& costs = {},
-                         ShardSchedule schedule = ShardSchedule::kSequential);
-
 }  // namespace gentrius::decompose

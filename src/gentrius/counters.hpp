@@ -150,10 +150,10 @@ class CounterSink {
 };
 
 /// Per-thread accumulator. Publishes to the sink in batches; every
-/// `time_check_period`-th flush also evaluates the time rule (period 1, the
-/// default, preserves the documented every-flush granularity; a larger
-/// period amortizes the clock syscall over K flushes). Not thread-safe by
-/// design: each worker owns exactly one instance.
+/// `time_check_period`-th flush also evaluates the time rule (period 1
+/// checks on every flush; a larger period amortizes the clock syscall over
+/// K flushes — the Enumerator picks 256 for exact counting). Not
+/// thread-safe by design: each worker owns exactly one instance.
 class LocalCounters {
  public:
   LocalCounters(CounterSink& sink, std::uint32_t tree_batch,

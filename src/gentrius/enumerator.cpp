@@ -11,16 +11,46 @@
 
 namespace gentrius::core {
 
+namespace {
+
+/// Clock-read cadence of stopping rule 3, in counter flushes. Exact counting
+/// (every batch 1, as run_serial and the one-worker simulation use) flushes
+/// at every state, so reading the clock each time would put a syscall in
+/// the hot loop; one read per 256 flushes keeps the time rule's granularity
+/// well under a millisecond at serial state rates. Batched counting reads
+/// it on every flush.
+std::uint32_t time_check_period(const Options& options) {
+  const bool exact = options.tree_flush_batch == 1 &&
+                     options.state_flush_batch == 1 &&
+                     options.dead_end_flush_batch == 1;
+  return exact ? 256 : 1;
+}
+
+// Paper §III-A: no task submission with fewer than 3 remaining taxa —
+// finishing that subtree is cheaper than the stealing round-trip.
+constexpr std::size_t kOfferMinRemaining = 3;
+
+// kAdaptiveGW cutoff terms, in state units. The uncontended hand-off costs
+// a flat queue/deque round trip plus the thief's replay per path entry
+// (mirroring vthread::CostModel's queue_cost + replay_cost); with the sink
+// full, the predicted delegated work must exceed kWorkMultiple times that,
+// scaled by the sink's contention penalty.
+constexpr double kHandoffStates = 2.0;
+constexpr double kHandoffPerPath = 0.3;
+constexpr double kWorkMultiple = 4.0;
+
+}  // namespace
+
 Enumerator::Enumerator(const Problem& problem, const Options& options,
                        CounterSink& sink)
     : problem_(&problem),
       options_(&options),
       terrace_(problem, options.incremental_mappings),
       counters_(sink, options.tree_flush_batch, options.state_flush_batch,
-                options.dead_end_flush_batch, options.time_check_flush_period),
+                options.dead_end_flush_batch, time_check_period(options)),
       sink_(&sink),
       adaptive_(options.offer_policy == OfferPolicy::kAdaptiveGW) {
-  if (adaptive_) gw_model_.reset(problem.missing_count(), options);
+  if (adaptive_) gw_model_.reset(problem.missing_count());
   if (!options.dynamic_taxon_order || !options.insertion_order.empty()) {
     if (!options.insertion_order.empty()) {
       static_order_ = options.insertion_order;
@@ -167,17 +197,12 @@ void Enumerator::record_offspring(const Terrace::Choice& choice) {
 
 void Enumerator::maybe_offer_task(Frame& f) {
   if (task_sink_ == nullptr) return;
-  // Paper §III-A: no task submission with fewer than offer_min_remaining
-  // (default 3) remaining taxa — finishing that subtree is cheaper than the
-  // stealing round-trip.
-  if (terrace_.remaining_count() < options_->offer_min_remaining) return;
+  if (terrace_.remaining_count() < kOfferMinRemaining) return;
   if (f.branches.size() < 2) return;
   GENTRIUS_DCHECK(f.next == 0);  // frame freshly set up, nothing consumed yet
-  // Delegated share of the branch set. The floor of size * 0.5 equals the
-  // paper's size / 2 exactly, so kPaperFixed defaults split byte-identically.
-  std::size_t half = static_cast<std::size_t>(
-      static_cast<double>(f.branches.size()) * options_->offer_split_fraction);
-  half = std::clamp<std::size_t>(half, 1, f.branches.size() - 1);
+  // The paper delegates half of the branch set; with >= 2 branches both
+  // sides keep at least one.
+  const std::size_t half = f.branches.size() / 2;
   double predicted = 0.0;
   if (adaptive_) {
     ++offer_stats_.offers_evaluated;
@@ -200,11 +225,10 @@ void Enumerator::maybe_offer_task(Frame& f) {
     // for the serialized hand-off section, so the bar rises with the fill
     // fraction, scaled by the sink's contention penalty (N_t for the
     // central queue, whose one mutex is the whole pool's hand-off pipe; 1
-    // for per-worker deques): under pressure only work_multiple×penalty×
+    // for per-worker deques): under pressure only kWorkMultiple×penalty×
     // coarser subtrees are worth queueing ahead of the backlog.
     const double base =
-        options_->offer_handoff_states +
-        options_->offer_handoff_per_path * static_cast<double>(path_.size());
+        kHandoffStates + kHandoffPerPath * static_cast<double>(path_.size());
     const double fill =
         limit > 0 ? static_cast<double>(backlog) / static_cast<double>(limit)
                   : (backlog > 0 ? 1.0 : 0.0);
@@ -212,8 +236,8 @@ void Enumerator::maybe_offer_task(Frame& f) {
     // bar (small instances need every offer to feed the pool), while a ring
     // approaching capacity pushes it toward the full penalty.
     const double cutoff =
-        base * (1.0 + options_->offer_work_multiple *
-                          task_sink_->handoff_penalty() * fill * fill);
+        base *
+        (1.0 + kWorkMultiple * task_sink_->handoff_penalty() * fill * fill);
     if (predicted < cutoff) {
       ++offer_stats_.offers_suppressed;
       return;

@@ -15,7 +15,8 @@
 // stratum r delegating k of its branches therefore hands the thief
 // k * (1 + W(r-1)) expected states. `maybe_offer_task` compares that
 // prediction against an adaptive cutoff (hand-off cost scaled by the live
-// sink backlog) to decide offer vs expand locally — see options.hpp.
+// sink backlog) to decide offer vs expand locally — see options.hpp and
+// Enumerator::maybe_offer_task.
 //
 // Everything here is per-enumerator (no sharing, no locks) and a pure
 // function of the states that worker visited, so the virtual-time simulator
@@ -26,29 +27,33 @@
 #include <cstdint>
 #include <vector>
 
-#include "gentrius/options.hpp"
 #include "support/invariant.hpp"
 
 namespace gentrius::core {
 
 class GwOfferModel {
  public:
+  /// Smoothing prior for the per-stratum offspring mean: each stratum
+  /// behaves as if it had already seen kPriorWeight samples with mean
+  /// kPriorOffspring. The optimistic prior (> 1) keeps early offers flowing
+  /// before the histogram has data.
+  static constexpr double kPriorOffspring = 2.0;
+  static constexpr double kPriorWeight = 4.0;
+  /// The W(r) table is refitted after this many new offspring samples
+  /// (lazily, at the next offer evaluation).
+  static constexpr std::uint32_t kRefitPeriod = 64;
+
   GwOfferModel() = default;
 
   /// `max_remaining` = the instance's missing-taxon count: strata run
   /// 0..max_remaining inclusive.
-  GwOfferModel(std::size_t max_remaining, const Options& options) {
-    reset(max_remaining, options);
-  }
+  explicit GwOfferModel(std::size_t max_remaining) { reset(max_remaining); }
 
-  void reset(std::size_t max_remaining, const Options& options) {
-    prior_mean_ = options.gw_prior_offspring;
-    prior_weight_ = options.gw_prior_weight;
-    refit_period_ = options.gw_refit_period == 0 ? 1 : options.gw_refit_period;
+  void reset(std::size_t max_remaining) {
     offspring_sum_.assign(max_remaining + 1, 0.0);
     samples_.assign(max_remaining + 1, 0);
     expected_.assign(max_remaining + 1, 0.0);
-    since_refit_ = refit_period_;  // first prediction fits from the prior
+    since_refit_ = kRefitPeriod;  // first prediction fits from the prior
   }
 
   /// Records one observation: the taxon chosen at a state with `remaining`
@@ -65,7 +70,7 @@ class GwOfferModel {
   /// expected subtree below it, 1 + W(remaining - 1). Lazily refits the
   /// W table when enough new samples accumulated.
   double expected_branch_states(std::size_t remaining) {
-    if (since_refit_ >= refit_period_) refit();
+    if (since_refit_ >= kRefitPeriod) refit();
     GENTRIUS_DCHECK_GT(remaining, 0u);
     GENTRIUS_DCHECK_LT(remaining, expected_.size());
     return 1.0 + expected_[remaining - 1];
@@ -74,8 +79,8 @@ class GwOfferModel {
   /// Smoothed offspring mean at a stratum (exposed for tests/diagnostics).
   double offspring_mean(std::size_t remaining) const {
     GENTRIUS_DCHECK_LT(remaining, offspring_sum_.size());
-    return (offspring_sum_[remaining] + prior_mean_ * prior_weight_) /
-           (static_cast<double>(samples_[remaining]) + prior_weight_);
+    return (offspring_sum_[remaining] + kPriorOffspring * kPriorWeight) /
+           (static_cast<double>(samples_[remaining]) + kPriorWeight);
   }
 
   std::uint64_t samples(std::size_t remaining) const {
@@ -98,9 +103,6 @@ class GwOfferModel {
     }
   }
 
-  double prior_mean_ = 2.0;
-  double prior_weight_ = 4.0;
-  std::uint32_t refit_period_ = 64;
   std::uint32_t since_refit_ = 0;
   std::vector<double> offspring_sum_;  // indexed by remaining-taxon count
   std::vector<std::uint64_t> samples_;

@@ -51,9 +51,9 @@ inline const char* to_string(Scheduler s) {
 ///  * kComponents — split the constraint set into connected components of
 ///    the taxon-overlap graph and enumerate each component plus a canonical
 ///    residual shard independently; counts combine by product, stands by
-///    cross-product streaming. Honored by the decompose::* entry points
-///    only — the single-instance drivers reject it loudly instead of
-///    silently ignoring it.
+///    cross-product streaming. Honored by decompose::run_sharded and the
+///    incremental session only — the single-instance drivers reject it
+///    loudly instead of silently ignoring it.
 enum class Decompose : std::uint8_t { kOff, kComponents };
 
 inline const char* to_string(Decompose d) {
@@ -68,9 +68,10 @@ inline const char* to_string(Decompose d) {
 /// frame's branches to another worker?
 ///
 ///  * kPaperFixed — the paper's §III-A rule, verbatim: offer half the
-///    admissible branches whenever at least `offer_min_remaining` taxa
-///    remain and the frame has >= 2 branches. Paper-faithful and the
-///    default; produces the byte-identical golden trace.
+///    admissible branches (b / 2 of b) whenever at least 3 taxa remain and
+///    the frame has >= 2 branches. Both values are constants of the paper.
+///    Paper-faithful and the default; produces the byte-identical golden
+///    trace.
 ///  * kAdaptiveGW — model-driven granularity. The enumerator records a
 ///    per-stratum offspring histogram (admissible-branch count keyed by
 ///    remaining-taxon count), fits an online Galton–Watson branching-
@@ -80,9 +81,11 @@ inline const char* to_string(Decompose d) {
 ///    starvation signal (TaskSink::backlog). Starved pools accept any
 ///    offer that repays its hand-off; deep backlogs demand proportionally
 ///    larger subtrees, so tiny deep tasks stop flooding the queues at high
-///    thread counts. Counts and the stand set are policy-invariant: offers
-///    only redistribute who explores a branch, never whether it is
-///    explored.
+///    thread counts. The same 3-taxa floor and half split apply; the
+///    estimator's prior and refit period (offer_policy.hpp) and the cutoff's
+///    hand-off terms (enumerator.cpp) are constants. Counts and the stand
+///    set are policy-invariant: offers only redistribute who explores a
+///    branch, never whether it is explored.
 enum class OfferPolicy : std::uint8_t { kPaperFixed, kAdaptiveGW };
 
 inline const char* to_string(OfferPolicy p) {
@@ -144,17 +147,13 @@ struct Options {
 
   /// Batched global-counter updates (paper §III-B): a thread publishes its
   /// local counts every 2^10 stand trees / 2^13 states / 2^10 dead ends.
-  /// Serial runs use batch 1 so the stopping rules are exact.
+  /// Serial runs use batch 1 so the stopping rules are exact. The time
+  /// rule is read on every flush of batched counting and on every 256th
+  /// flush of exact counting (all three batches 1), where a flush happens
+  /// at every state.
   std::uint32_t tree_flush_batch = 1u << 10;
   std::uint32_t state_flush_batch = 1u << 13;
   std::uint32_t dead_end_flush_batch = 1u << 10;
-
-  /// Stopping rule 3 (wall clock) is evaluated at most once per this many
-  /// counter flushes. The documented granularity is every flush (default 1);
-  /// raising it trades clock syscalls for a proportionally coarser time
-  /// rule, bounded by (threads * batch * period) extra work before the rule
-  /// lands. Counter totals and flush counts are unaffected.
-  std::uint32_t time_check_flush_period = 1;
 
   /// Work-distribution scheduler for the parallel drivers.
   Scheduler scheduler = Scheduler::kCentralQueue;
@@ -170,41 +169,6 @@ struct Options {
 
   /// Task-granularity policy (see enum OfferPolicy above).
   OfferPolicy offer_policy = OfferPolicy::kPaperFixed;
-
-  /// Paper §III-A offer floor: no task submission with fewer than this many
-  /// remaining taxa — finishing such a subtree locally is cheaper than the
-  /// stealing round-trip. The paper's constant is 3.
-  std::size_t offer_min_remaining = 3;
-
-  /// Fraction of a frame's admissible branches delegated by an accepted
-  /// offer (floor, clamped to [1, branches-1] so both sides keep work).
-  /// The paper splits in half; 0.5 reproduces `branches / 2` exactly.
-  double offer_split_fraction = 0.5;
-
-  // ---- kAdaptiveGW estimator knobs (ignored under kPaperFixed) ----------
-
-  /// Smoothing prior for the per-stratum offspring mean: each stratum
-  /// behaves as if it had already seen `gw_prior_weight` samples with mean
-  /// `gw_prior_offspring`. An optimistic prior (> 1) keeps early offers
-  /// flowing before the histogram has data.
-  double gw_prior_offspring = 2.0;
-  double gw_prior_weight = 4.0;
-
-  /// The expected-subtree-size table W(r) is refitted from the histogram
-  /// after this many new offspring samples (lazily, at the next offer
-  /// evaluation). Smaller = fresher model, more refit work.
-  std::uint32_t gw_refit_period = 64;
-
-  /// Measured hand-off cost in state units: the flat queue/deque round
-  /// trip plus the thief's per-path-entry replay. Mirrors CostModel
-  /// (queue_cost + replay_cost); an offer must at least repay this.
-  double offer_handoff_states = 2.0;
-  double offer_handoff_per_path = 0.3;
-
-  /// Backlog pressure: with b tasks already queued the predicted delegated
-  /// work must exceed offer_work_multiple * hand-off * b. A starved pool
-  /// (b = 0) accepts anything that repays its hand-off.
-  double offer_work_multiple = 4.0;
 };
 
 enum class StopReason : std::uint8_t {
@@ -389,8 +353,7 @@ enum class OptionsSurface : std::uint8_t {
   /// The monolithic drivers (core::run_serial, parallel::run_parallel,
   /// vthread::run_virtual): exactly one instance, no decomposition.
   kSingleInstance,
-  /// decompose::run_sharded and the decompose::run_* dispatchers: every
-  /// decompose mode is honored here.
+  /// decompose::run_sharded: every decompose mode is honored here.
   kSharded,
   /// incremental::IncrementalSession: requires component analysis, so
   /// Options::decompose must be kComponents.

@@ -34,73 +34,6 @@ struct WorkerOutput {
   std::size_t split_branches = 0;
 };
 
-/// Uniform worker-side view of either scheduler. The worker loop only
-/// needs four operations: where its offers go, how it blocks for more
-/// work, how to release everyone after a stop, and the end-of-run stats.
-class SchedulerDriver {
- public:
-  virtual ~SchedulerDriver() = default;
-  virtual core::TaskSink* sink_for(std::size_t tid) = 0;
-  virtual bool acquire(std::size_t tid, const CounterSink& sink,
-                       core::Task& out) = 0;
-  virtual void broadcast_stop() = 0;
-  virtual core::StopWaker* waker() = 0;
-  virtual core::SchedulerStats stats() const = 0;
-};
-
-/// Paper §III scheduler: the shared bounded TaskQueue.
-class CentralDriver final : public SchedulerDriver {
- public:
-  explicit CentralDriver(std::size_t n_threads)
-      : queue_(queue_capacity_for(n_threads), n_threads) {}
-
-  core::TaskSink* sink_for(std::size_t) override { return &queue_; }
-  bool acquire(std::size_t, const CounterSink& sink,
-               core::Task& out) override {
-    return queue_.pop(sink, out);
-  }
-  void broadcast_stop() override { queue_.broadcast_stop(); }
-  core::StopWaker* waker() override { return &queue_; }
-  core::SchedulerStats stats() const override { return queue_.stats(); }
-
- private:
-  TaskQueue queue_;
-};
-
-/// Distributed scheduler: per-worker deques with randomized stealing.
-class DequeDriver final : public SchedulerDriver {
- public:
-  DequeDriver(std::size_t n_threads, std::uint64_t steal_seed)
-      : sched_(n_threads, steal_seed) {}
-
-  core::TaskSink* sink_for(std::size_t tid) override {
-    return sched_.sink_for(tid);
-  }
-  bool acquire(std::size_t tid, const CounterSink& sink,
-               core::Task& out) override {
-    return sched_.acquire(tid, sink, out);
-  }
-  void broadcast_stop() override { sched_.broadcast_stop(); }
-  core::StopWaker* waker() override { return &sched_; }
-  core::SchedulerStats stats() const override { return sched_.stats(); }
-
- private:
-  DequeScheduler sched_;
-};
-
-/// Slice [begin, begin+len) of the I0 branch set assigned to thread `tid`
-/// ("as uniformly as possible", paper §III-A).
-std::pair<std::size_t, std::size_t> slice_for(std::size_t tid,
-                                              std::size_t n_threads,
-                                              std::size_t total) {
-  const std::size_t base = total / n_threads;
-  const std::size_t extra = total % n_threads;
-  const std::size_t begin = tid * base + std::min(tid, extra);
-  const std::size_t len = base + (tid < extra ? 1 : 0);
-  GENTRIUS_DCHECK_LE(begin + len, total);  // slices partition [0, total)
-  return {begin, len};
-}
-
 /// Steps the enumerator until its current assignment is exhausted or a
 /// stopping rule fires. Returns true when stopped.
 bool drain(Enumerator& e) {
@@ -120,17 +53,18 @@ bool drain(Enumerator& e) {
 // involved): the scheduler guards its own members internally (task_queue.hpp
 // / steal_deque.hpp), `sink` is lock-free atomics (counters.hpp), and each
 // worker writes only its own `out` slot — the pool joins every thread
-// before reading them.
+// before reading them. `Sched` is TaskQueue or DequeScheduler; both expose
+// sink_for / acquire / broadcast_stop / stats.
+template <class Sched>
 void worker_body(std::size_t tid, std::size_t n_threads,
                  const Problem& problem, const Options& options,
-                 CounterSink& sink, SchedulerDriver* driver,
-                 WorkerOutput& out) {
+                 CounterSink& sink, Sched& sched, WorkerOutput& out) {
   GENTRIUS_DCHECK_LT(tid, n_threads);
   // Each thread builds its private Terrace and re-executes the deterministic
   // prefix (paper: "the first stages of execution are identical across all
   // threads"); only thread 0 counts those states.
   Enumerator e(problem, options, sink);
-  if (driver != nullptr) e.set_task_sink(driver->sink_for(tid));
+  e.set_task_sink(sched.sink_for(tid));
 
   const auto& prefix = e.run_prefix(/*count=*/tid == 0);
   out.prefix_outcome = prefix.outcome;
@@ -150,19 +84,17 @@ void worker_body(std::size_t tid, std::size_t n_threads,
     }
   }
 
-  if (driver != nullptr) {
-    // Pooled steal target: acquire() swaps a queue/deque slot with this
-    // task, so repeated steals recycle the same vector storage.
-    core::Task task;
-    while (!stopped) {
-      if (!driver->acquire(tid, sink, task)) break;
-      e.adopt_task(task);
-      ++out.tasks_executed;
-      stopped = drain(e);
-      if (!stopped) e.rewind_to_split();
-    }
-    if (stopped) driver->broadcast_stop();
+  // Pooled steal target: acquire() swaps a queue/deque slot with this task,
+  // so repeated steals recycle the same vector storage.
+  core::Task task;
+  while (!stopped) {
+    if (!sched.acquire(tid, sink, task)) break;
+    e.adopt_task(task);
+    ++out.tasks_executed;
+    stopped = drain(e);
+    if (!stopped) e.rewind_to_split();
   }
+  if (stopped) sched.broadcast_stop();
 
   e.counters().flush_all();
   out.trees = std::move(e.collected_trees());
@@ -172,19 +104,18 @@ void worker_body(std::size_t tid, std::size_t n_threads,
 }
 
 Result assemble(const CounterSink& sink, std::vector<WorkerOutput>& outputs,
-                const SchedulerDriver* driver, double seconds) {
+                const core::SchedulerStats& sched) {
   Result result;
   result.stand_trees = sink.stand_trees();
   result.intermediate_states = sink.states();
   result.dead_ends = sink.dead_ends();
   result.reason = sink.reason();
-  result.seconds = seconds;
   const WorkerOutput& first = outputs.front();
   result.prefix_length = first.prefix_length;
   result.initial_split_branches = first.split_branches;
   if (first.prefix_outcome == Enumerator::Prefix::Outcome::kEmpty)
     result.reason = StopReason::kEmptyStand;
-  if (driver != nullptr) result.sched = driver->stats();
+  result.sched = sched;
   for (auto& o : outputs) {
     result.tasks_executed += o.tasks_executed;
     result.tasks_offered += o.tasks_offered;
@@ -199,60 +130,53 @@ Result assemble(const CounterSink& sink, std::vector<WorkerOutput>& outputs,
   return result;
 }
 
+template <class Sched>
 Result run_pool(const Problem& problem, const Options& options,
-                std::size_t n_threads, bool work_stealing) {
-  core::validate_options(options, core::OptionsSurface::kSingleInstance);
-  // Wall clock for Result::seconds (reported diagnostics, never a
-  // scheduling input) and for stopping rule 3, real-time by definition.
-  // lint:allow(wall-clock)
-  support::Stopwatch clock;
+                std::size_t n_threads, Sched& sched) {
   CounterSink sink(options.stop);
   std::vector<WorkerOutput> outputs(n_threads);
-
-  CentralDriver central(n_threads);
-  DequeDriver deques(n_threads, options.steal_seed);
-  SchedulerDriver* driver = nullptr;
-  if (work_stealing) {
-    driver = options.scheduler == core::Scheduler::kDistributedDeques
-                 ? static_cast<SchedulerDriver*>(&deques)
-                 : static_cast<SchedulerDriver*>(&central);
-    // Stop-wake hook: request_stop from any thread unparks blocked
-    // consumers immediately instead of waiting for a busy worker to notice
-    // the flag. Cleared before the driver goes out of scope.
-    sink.set_stop_waker(driver->waker());
-  }
+  // Stop-wake hook: request_stop from any thread unparks blocked consumers
+  // immediately instead of waiting for a busy worker to notice the flag.
+  // Cleared before the scheduler goes out of scope.
+  sink.set_stop_waker(&sched);
 
   if (n_threads == 1) {
-    // Degenerate pool: still exercises the worker path, minus stealing.
-    worker_body(0, 1, problem, options, sink, driver, outputs[0]);
-    sink.set_stop_waker(nullptr);
-    return assemble(sink, outputs, driver, clock.seconds());
-  }
-
-  {
+    // Degenerate pool: the one worker runs on the calling thread and
+    // acquires its own offers back.
+    worker_body(0, 1, problem, options, sink, sched, outputs[0]);
+  } else {
     std::vector<std::jthread> threads;
     threads.reserve(n_threads);
     for (std::size_t tid = 0; tid < n_threads; ++tid) {
       threads.emplace_back([&, tid] {
-        worker_body(tid, n_threads, problem, options, sink, driver,
+        worker_body(tid, n_threads, problem, options, sink, sched,
                     outputs[tid]);
       });
     }
   }  // jthreads join here
   sink.set_stop_waker(nullptr);
-  return assemble(sink, outputs, driver, clock.seconds());
+  return assemble(sink, outputs, sched.stats());
 }
 
 }  // namespace
 
 Result run_parallel(const Problem& problem, const Options& options,
                     std::size_t n_threads) {
-  return run_pool(problem, options, n_threads, /*work_stealing=*/true);
-}
-
-Result run_static_split(const Problem& problem, const Options& options,
-                        std::size_t n_threads) {
-  return run_pool(problem, options, n_threads, /*work_stealing=*/false);
+  core::validate_options(options, core::OptionsSurface::kSingleInstance);
+  // Wall clock for Result::seconds (reported diagnostics, never a
+  // scheduling input) and for stopping rule 3, real-time by definition.
+  // lint:allow(wall-clock)
+  support::Stopwatch clock;
+  Result result;
+  if (options.scheduler == core::Scheduler::kDistributedDeques) {
+    DequeScheduler deques(n_threads, options.steal_seed);
+    result = run_pool(problem, options, n_threads, deques);
+  } else {
+    TaskQueue central(queue_capacity_for(n_threads), n_threads);
+    result = run_pool(problem, options, n_threads, central);
+  }
+  result.seconds = clock.seconds();
+  return result;
 }
 
 }  // namespace gentrius::parallel

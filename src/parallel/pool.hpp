@@ -23,10 +23,4 @@ namespace gentrius::parallel {
 core::Result run_parallel(const core::Problem& problem,
                           const core::Options& options, std::size_t n_threads);
 
-/// Ablation baseline: initial split only, no work stealing (tasks are never
-/// offered). Demonstrates the load imbalance the thread pool removes.
-core::Result run_static_split(const core::Problem& problem,
-                              const core::Options& options,
-                              std::size_t n_threads);
-
 }  // namespace gentrius::parallel

@@ -16,7 +16,7 @@
 // Tasks are handed off as node pointers, not values: the ring stores
 // pointers into a fixed node pool, so a steal moves one pointer plus an
 // O(1) vector swap — the same hand-off cost as the old locked design's
-// swap_into, without the mutex. Nodes consumed by either side return to a
+// slot swap, without the mutex. Nodes consumed by either side return to a
 // Treiber free stack; only the owner pops it (so the classic ABA window
 // needs no generation tags), while owner and thieves both push. The pool
 // holds capacity + max_thieves + 1 nodes, which makes the free stack
@@ -171,7 +171,7 @@ class StealDeque {
       return false;
     }
     Node* n = acquire_node();
-    swap_into(n->task, task);
+    std::swap(n->task, task);
     // order: the slot write is published by the bottom_ release below
     ring_[static_cast<std::size_t>(b % capacity_)].store(
         n, std::memory_order_relaxed);
@@ -222,7 +222,7 @@ class StealDeque {
       // order: owner-only restore; deque is now empty
       bottom_.store(b + 1, std::memory_order_relaxed);
     }
-    swap_into(out, n->task);
+    std::swap(out, n->task);
     push_free(n);
     return true;
   }
@@ -254,7 +254,7 @@ class StealDeque {
     if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
                                       std::memory_order_relaxed))
       return false;
-    swap_into(out, n->task);
+    std::swap(out, n->task);
     push_free(n);
     return true;
   }
@@ -282,13 +282,6 @@ class StealDeque {
     core::Task task;
     std::atomic<Node*> next_free{nullptr};
   };
-
-  static void swap_into(core::Task& dst, core::Task& src) {
-    std::swap(dst.path, src.path);
-    dst.next_taxon = src.next_taxon;
-    dst.predicted_states = src.predicted_states;
-    std::swap(dst.branches, src.branches);
-  }
 
   /// Multi-producer free-stack push (owner and thieves both return nodes).
   void push_free(Node* n) {

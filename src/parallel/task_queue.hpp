@@ -20,6 +20,7 @@
 // -Wthread-safety analysis (see support/thread_annotations.hpp).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -37,6 +38,20 @@ namespace gentrius::parallel {
 /// Capacity rule from the paper (empirically tuned by the authors).
 inline std::size_t queue_capacity_for(std::size_t n_threads) {
   return n_threads < 8 ? n_threads + 1 : n_threads / 2;
+}
+
+/// Slice [begin, begin+len) of the I0 branch set assigned to thread `tid`
+/// ("as uniformly as possible", paper §III-A). Shared by the real pool and
+/// the virtual-time simulator.
+inline std::pair<std::size_t, std::size_t> slice_for(std::size_t tid,
+                                                     std::size_t n_threads,
+                                                     std::size_t total) {
+  const std::size_t base = total / n_threads;
+  const std::size_t extra = total % n_threads;
+  const std::size_t begin = tid * base + std::min(tid, extra);
+  const std::size_t len = base + (tid < extra ? 1 : 0);
+  GENTRIUS_DCHECK_LE(begin + len, total);  // slices partition [0, total)
+  return {begin, len};
 }
 
 class TaskQueue final : public core::TaskSink, public core::StopWaker {
@@ -60,11 +75,7 @@ class TaskQueue final : public core::TaskSink, public core::StopWaker {
         ++rejections_;
         return false;
       }
-      core::Task& slot = slots_[(head_ + size_) % capacity_];
-      std::swap(slot.path, task.path);
-      slot.next_taxon = task.next_taxon;
-      slot.predicted_states = task.predicted_states;
-      std::swap(slot.branches, task.branches);
+      std::swap(slots_[(head_ + size_) % capacity_], task);
       ++size_;
       // order: advisory mirror of size_ for the lock-free backlog() probe
       approx_size_.store(size_, std::memory_order_relaxed);
@@ -95,10 +106,7 @@ class TaskQueue final : public core::TaskSink, public core::StopWaker {
           if (size_ > 0) {
             // Swap instead of move: the consumer's old vectors end up in
             // the slot and get reused by a later push.
-            std::swap(out.path, slots_[head_].path);
-            out.next_taxon = slots_[head_].next_taxon;
-            out.predicted_states = slots_[head_].predicted_states;
-            std::swap(out.branches, slots_[head_].branches);
+            std::swap(out, slots_[head_]);
             head_ = (head_ + 1) % capacity_;
             --size_;
             // order: advisory mirror of size_ for backlog(); see try_push
@@ -114,6 +122,14 @@ class TaskQueue final : public core::TaskSink, public core::StopWaker {
     }
     if (i_terminated) cv_.notify_all();
     return got;
+  }
+
+  /// Pool-facing names shared with DequeScheduler: every worker offers
+  /// into the one queue and acquires from it.
+  core::TaskSink* sink_for(std::size_t /*tid*/) { return this; }
+  bool acquire(std::size_t /*tid*/, const core::CounterSink& sink,
+               core::Task& out) GENTRIUS_EXCLUDES(mutex_) {
+    return pop(sink, out);
   }
 
   /// Wakes all waiters (after a stopping rule fired).

@@ -88,10 +88,7 @@ class VirtualQueue final : public core::TaskSink {
     *producer_clock_ = start + queue_cost_;
     lock_free_at_ = *producer_clock_;
     Entry& slot = slots_[(head_ + size_) % capacity_];
-    std::swap(slot.task.path, task.path);
-    slot.task.next_taxon = task.next_taxon;
-    slot.task.predicted_states = task.predicted_states;
-    std::swap(slot.task.branches, task.branches);
+    std::swap(slot.task, task);
     slot.available_at = *producer_clock_;
     ++size_;
     if (size_ > max_depth_) max_depth_ = size_;
@@ -134,10 +131,7 @@ class VirtualQueue final : public core::TaskSink {
   double pop_front(Task& out, double start) GENTRIUS_REQUIRES(role_) {
     GENTRIUS_DCHECK(size_ > 0);
     GENTRIUS_DCHECK_GE(start, lock_free_at_);
-    std::swap(out.path, slots_[head_].task.path);
-    out.next_taxon = slots_[head_].task.next_taxon;
-    out.predicted_states = slots_[head_].task.predicted_states;
-    std::swap(out.branches, slots_[head_].task.branches);
+    std::swap(out, slots_[head_].task);
     head_ = (head_ + 1) % capacity_;
     --size_;
     ++pops_;
@@ -308,7 +302,7 @@ class VirtualDeques {
     const double start = std::max(probed, plan.available_at);
     const double end =
         start + costs_->steal_attempt_cost + costs_->deque_steal_cost;
-    swap_out(out, d.slots[d.head].task);
+    std::swap(out, d.slots[d.head].task);
     d.head = (d.head + 1) % d.slots.size();
     --d.size;
     d.steal_free_at = end;
@@ -332,7 +326,7 @@ class VirtualDeques {
     GENTRIUS_DCHECK(d.size > 0);
     const double end = now + costs_->deque_owner_cost;
     --d.size;
-    swap_out(out, d.slots[(d.head + d.size) % d.slots.size()].task);
+    std::swap(out, d.slots[(d.head + d.size) % d.slots.size()].task);
     return end;
   }
 
@@ -362,13 +356,6 @@ class VirtualDeques {
     std::size_t max_depth = 0;
   };
 
-  static void swap_out(Task& dst, Task& src) {
-    std::swap(dst.path, src.path);
-    dst.next_taxon = src.next_taxon;
-    dst.predicted_states = src.predicted_states;
-    std::swap(dst.branches, src.branches);
-  }
-
   // Reached through core::TaskSink from inside Enumerator::step, which only
   // runs while the event loop (holding the role) steps the producer.
   bool push(std::size_t tid, Task& task) GENTRIUS_REQUIRES(role_) {
@@ -384,7 +371,7 @@ class VirtualDeques {
     // wait on the thief-side top CAS).
     *producer_clock_ += costs_->deque_owner_cost;
     Entry& slot = d.slots[(d.head + d.size) % d.slots.size()];
-    swap_out(slot.task, task);
+    std::swap(slot.task, task);
     slot.available_at = *producer_clock_;
     ++d.size;
     if (d.size > d.max_depth) d.max_depth = d.size;
@@ -410,8 +397,7 @@ struct VWorker {
   std::uint64_t last_flushes = 0;
   std::uint64_t tasks_executed = 0;
   std::size_t sweep_start = 0;  // victim-scan origin for this idle episode
-  core::Terrace::SelectionStats last_stats;  // for per-step cost deltas
-  std::uint64_t last_offer_evals = 0;        // for offer_eval_cost deltas
+  std::uint64_t last_offer_evals = 0;  // for offer_eval_cost deltas
 };
 
 Result run_simulation(const Problem& problem, const Options& user_options,
@@ -472,9 +458,6 @@ Result run_simulation(const Problem& problem, const Options& user_options,
     w.clock = serial ? 0.0 : costs.spawn_cost;
     const auto& prefix = w.enumerator->run_prefix(/*count=*/tid == 0);
     w.clock += static_cast<double>(prefix.length) * costs.state_cost;
-    // Selection work done during the prefix is covered by its state_cost
-    // charge; the per-step surcharges start from this snapshot.
-    w.last_stats = w.enumerator->terrace().selection_stats();
     if (tid == 0) {
       result.prefix_length = prefix.length;
       if (prefix.outcome == Enumerator::Prefix::Outcome::kSplit)
@@ -483,12 +466,8 @@ Result run_simulation(const Problem& problem, const Options& user_options,
         result.reason = StopReason::kEmptyStand;
     }
     if (prefix.outcome == Enumerator::Prefix::Outcome::kSplit) {
-      const std::size_t total = prefix.branches.size();
-      const std::size_t base = total / n_threads;
-      const std::size_t extra = total % n_threads;
-      const std::size_t begin = tid * base + std::min(tid, extra);
-      const std::size_t len = base + (tid < extra ? 1 : 0);
-      GENTRIUS_DCHECK_LE(begin + len, total);
+      const auto [begin, len] =
+          parallel::slice_for(tid, n_threads, prefix.branches.size());
       if (len > 0) {
         std::vector<core::EdgeId> slice(
             prefix.branches.begin() + static_cast<std::ptrdiff_t>(begin),
@@ -565,22 +544,6 @@ Result run_simulation(const Problem& problem, const Options& user_options,
     w.clock += costs.state_cost +
                static_cast<double>(flushes - w.last_flushes) * flush_unit;
     w.last_flushes = flushes;
-    // Selection-work surcharges (defaults are all zero).
-    {
-      const auto& sel = w.enumerator->terrace().selection_stats();
-      w.clock +=
-          static_cast<double>(sel.fresh_counts - w.last_stats.fresh_counts) *
-              costs.fresh_count_cost +
-          static_cast<double>(sel.cached_counts - w.last_stats.cached_counts) *
-              costs.cached_count_cost +
-          static_cast<double>(sel.existence_checks -
-                              w.last_stats.existence_checks) *
-              costs.existence_check_cost +
-          static_cast<double>(sel.mappings_rebuilt -
-                              w.last_stats.mappings_rebuilt) *
-              costs.mapping_rebuild_cost;
-      w.last_stats = sel;
-    }
     // Adaptive-offer accounting: each cutoff evaluation this step performed
     // (accepted or suppressed) costs offer_eval_cost. kPaperFixed evaluates
     // nothing, so default-policy schedules are charged exactly as before.

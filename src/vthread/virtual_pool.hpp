@@ -34,6 +34,10 @@ namespace gentrius::vthread {
 /// Virtual cost of each operation, in abstract work units. One unit ~ one
 /// state expansion (the paper measures "hundreds of thousands of states per
 /// second", so 1 unit corresponds to a few microseconds of real time).
+///
+/// Selection work (full recounts, cache refreshes, existence probes,
+/// mapping rebuilds) is covered by the flat state_cost: the engine's
+/// per-state cost profile is not priced separately.
 struct CostModel {
   double state_cost = 1.0;    ///< expanding a state / consuming a terminal event
   double replay_cost = 0.15;  ///< per insertion when replaying a stolen task's path
@@ -89,23 +93,13 @@ struct CostModel {
   /// kPaperFixed evaluates nothing and is unaffected.
   double offer_eval_cost = 0.02;
 
-  // Selection-work surcharges, charged from Terrace::SelectionStats deltas
-  // on top of the flat state_cost. The defaults are zero — state_cost
-  // already represents an average state — but sensitivity studies can make
-  // the simulated clock follow the engine's actual cost profile, where a
-  // journal-replay cache refresh is far cheaper than a full recount and
-  // mapping rebuilds dominate (docs/PERFORMANCE.md).
-  double fresh_count_cost = 0.0;      ///< per full admissible-count recount
-  double cached_count_cost = 0.0;     ///< per journal-replay cache refresh
-  double existence_check_cost = 0.0;  ///< per zero/nonzero dead-end probe
-  double mapping_rebuild_cost = 0.0;  ///< per constraint-mapping rebuild
-
-  // Sharded-run terms (decompose::run_virtual): a decomposed run dispatches
-  // each shard as its own simulation and merges the results afterwards.
-  // Dispatch covers building the shard sub-problem and seeding its workers
-  // (same order of magnitude as spawn_cost); merge covers the product /
-  // stats combination per shard. Charged by the sharded driver, not by
-  // run_virtual itself, so monolithic simulations are unaffected; see
+  // Sharded-run terms (decompose::run_sharded, ShardBackend::kVirtual): a
+  // decomposed run dispatches each shard as its own simulation and merges
+  // the results afterwards. Dispatch covers building the shard sub-problem
+  // and seeding its workers (same order of magnitude as spawn_cost); merge
+  // covers the product / stats combination per shard. Charged by the
+  // sharded driver, not by run_virtual itself, so monolithic simulations
+  // are unaffected; see
   // decompose/sharded.hpp for how they enter the sharded makespan under the
   // sequential and concurrent shard schedules.
   double shard_dispatch_cost = 150.0;  ///< per shard: sub-problem build + seed

@@ -62,7 +62,7 @@ Result run_sharded_collecting(const std::vector<phylo::Tree>& constraints) {
   Options opts;
   opts.collect_trees = true;
   opts.decompose = core::Decompose::kComponents;
-  return decompose::run_serial(constraints, opts);
+  return decompose::run_sharded(constraints, opts);
 }
 
 std::uint64_t component_product(const Result& r) {
@@ -121,8 +121,10 @@ TEST(Metamorphic, ShardTraceLinesStableAcrossBackends) {
 
   Options opts;
   opts.decompose = core::Decompose::kComponents;
-  const Result serial = decompose::run_serial(ds.constraints, opts);
-  const Result virt = decompose::run_virtual(ds.constraints, opts, 4);
+  const Result serial = decompose::run_sharded(ds.constraints, opts);
+  const Result virt = decompose::run_sharded(
+      ds.constraints, opts,
+      decompose_test::shard_run(decompose::ShardBackend::kVirtual, 4));
   ASSERT_EQ(serial.shards.size(), virt.shards.size());
   for (std::size_t i = 0; i < serial.shards.size(); ++i)
     EXPECT_EQ(decompose::shard_trace_line(serial.shards[i]),

@@ -65,7 +65,7 @@ TEST(ProductLaw, DifferentialOverRandomSeeds) {
 
     Options opts = collecting();
     opts.decompose = core::Decompose::kComponents;
-    Result sharded = decompose::run_serial(ds.constraints, opts);
+    Result sharded = decompose::run_sharded(ds.constraints, opts);
     ASSERT_EQ(sharded.reason, StopReason::kCompleted);
 
     // (a) differential against the monolithic engine.
@@ -112,24 +112,32 @@ TEST(ProductLaw, OracleOnSmallUniverses) {
     Options opts = collecting();
     opts.decompose = core::Decompose::kComponents;
     opts.tree_names = nullptr;  // canonical encodings, like the oracle
-    Result sharded = decompose::run_serial(ds.constraints, opts);
+    Result sharded = decompose::run_sharded(ds.constraints, opts);
     const auto oracle = oracle::brute_force_stand(ds.constraints);
     EXPECT_EQ(sharded.stand_trees, oracle.size());
     EXPECT_EQ(sorted_trees(sharded), oracle);
   }
 }
 
-TEST(ProductLaw, OffMatchesMonolithicExactly) {
+TEST(ProductLaw, RunShardedIgnoresDecomposeField) {
+  // Calling run_sharded is the opt-in: the Options::decompose value does not
+  // change how it shards, counts or streams.
   const auto ds = benchutil::make_multi_component(params_for_seed(3));
-  Options opts = collecting();
-  opts.decompose = core::Decompose::kOff;
-  Result via_decompose = decompose::run_serial(ds.constraints, opts);
-  Result direct = core::run_serial(ds.constraints, collecting());
-  EXPECT_EQ(via_decompose.stand_trees, direct.stand_trees);
-  EXPECT_EQ(via_decompose.intermediate_states, direct.intermediate_states);
-  EXPECT_EQ(via_decompose.dead_ends, direct.dead_ends);
-  EXPECT_EQ(via_decompose.trees, direct.trees);
-  EXPECT_TRUE(via_decompose.shards.empty());
+  Options off = collecting();
+  off.decompose = core::Decompose::kOff;
+  Options on = collecting();
+  on.decompose = core::Decompose::kComponents;
+  const Result a = decompose::run_sharded(ds.constraints, off);
+  const Result b = decompose::run_sharded(ds.constraints, on);
+  EXPECT_EQ(a.stand_trees, b.stand_trees);
+  EXPECT_EQ(a.intermediate_states, b.intermediate_states);
+  EXPECT_EQ(a.dead_ends, b.dead_ends);
+  EXPECT_EQ(a.trees, b.trees);
+  ASSERT_EQ(a.shards.size(), b.shards.size());
+  ASSERT_GE(a.shards.size(), 2u);
+  for (std::size_t i = 0; i < a.shards.size(); ++i)
+    EXPECT_EQ(decompose::shard_trace_line(a.shards[i]),
+              decompose::shard_trace_line(b.shards[i]));
 }
 
 TEST(ProductLaw, CraftedCaterpillarCounts) {
@@ -143,7 +151,7 @@ TEST(ProductLaw, CraftedCaterpillarCounts) {
       phylo::parse_newick("((b0,b1),b2,(b3,(b4,b5)));", taxa));  // 6 taxa
   Options opts;
   opts.decompose = core::Decompose::kComponents;
-  const Result r = decompose::run_serial(constraints, opts);
+  const Result r = decompose::run_sharded(constraints, opts);
   // M = 15!! / (3!! * 7!!) = 2027025 / (3 * 105) = 6435.
   EXPECT_EQ(r.stand_trees, 6435u);
   EXPECT_EQ(r.reason, StopReason::kCompleted);
@@ -158,7 +166,7 @@ TEST(ProductLaw, EmptyComponentYieldsEmptyStand) {
   constraints.push_back(phylo::parse_newick("((b0,b1),(b2,b3));", taxa));
   Options opts = collecting();
   opts.decompose = core::Decompose::kComponents;
-  const Result sharded = decompose::run_serial(constraints, opts);
+  const Result sharded = decompose::run_sharded(constraints, opts);
   EXPECT_EQ(sharded.stand_trees, 0u);
   EXPECT_TRUE(sharded.trees.empty());
   const Result mono = core::run_serial(constraints, collecting());
@@ -170,7 +178,7 @@ TEST(ProductLaw, ShardStoppingRulePropagates) {
   Options opts;
   opts.decompose = core::Decompose::kComponents;
   opts.stop.max_stand_trees = 1;  // fires inside the residual shard
-  const Result r = decompose::run_serial(ds.constraints, opts);
+  const Result r = decompose::run_sharded(ds.constraints, opts);
   EXPECT_NE(r.reason, StopReason::kCompleted);
 }
 
@@ -179,7 +187,7 @@ TEST(ProductLaw, CollectLimitTruncatesStream) {
   Options opts = collecting();
   opts.decompose = core::Decompose::kComponents;
   opts.collect_limit = 7;
-  Result sharded = decompose::run_serial(ds.constraints, opts);
+  Result sharded = decompose::run_sharded(ds.constraints, opts);
   ASSERT_GT(sharded.stand_trees, 7u);  // count is exact regardless
   EXPECT_EQ(sharded.trees.size(), 7u);
   // The truncated prefix is a subset of the true stand.

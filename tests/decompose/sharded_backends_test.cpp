@@ -19,6 +19,7 @@ namespace {
 using core::Options;
 using core::Result;
 using core::StopReason;
+using decompose_test::shard_run;
 using decompose_test::sorted_trees;
 
 #if defined(GENTRIUS_SANITIZED_BUILD)
@@ -49,9 +50,10 @@ TEST(ShardedBackends, PoolMatchesSerial) {
     const auto ds = benchutil::make_multi_component(small_instance(seed));
     SCOPED_TRACE(ds.name);
     Result serial =
-        decompose::run_serial(ds.constraints, sharded_collecting());
-    Result pooled =
-        decompose::run_parallel(ds.constraints, sharded_collecting(), 2);
+        decompose::run_sharded(ds.constraints, sharded_collecting());
+    Result pooled = decompose::run_sharded(
+        ds.constraints, sharded_collecting(),
+        shard_run(decompose::ShardBackend::kPool, 2));
     ASSERT_EQ(pooled.reason, StopReason::kCompleted);
     EXPECT_EQ(pooled.stand_trees, serial.stand_trees);
     EXPECT_EQ(sorted_trees(pooled), sorted_trees(serial));
@@ -67,9 +69,10 @@ TEST(ShardedBackends, VirtualMatchesSerialAndAccountsTime) {
     const auto ds = benchutil::make_multi_component(small_instance(seed));
     SCOPED_TRACE(ds.name);
     Result serial =
-        decompose::run_serial(ds.constraints, sharded_collecting());
-    Result virt =
-        decompose::run_virtual(ds.constraints, sharded_collecting(), 4);
+        decompose::run_sharded(ds.constraints, sharded_collecting());
+    Result virt = decompose::run_sharded(
+        ds.constraints, sharded_collecting(),
+        shard_run(decompose::ShardBackend::kVirtual, 4));
     EXPECT_EQ(virt.stand_trees, serial.stand_trees);
     EXPECT_EQ(sorted_trees(virt), sorted_trees(serial));
     EXPECT_GT(virt.virtual_makespan, 0.0);
@@ -80,10 +83,12 @@ TEST(ShardedBackends, VirtualMatchesSerialAndAccountsTime) {
 TEST(ShardedBackends, ConcurrentScheduleOverlapsShards) {
   const auto ds = benchutil::make_multi_component(small_instance(2));
   Options opts = sharded_collecting();
-  const Result seq = decompose::run_virtual(
-      ds.constraints, opts, 2, {}, decompose::ShardSchedule::kSequential);
-  const Result conc = decompose::run_virtual(
-      ds.constraints, opts, 2, {}, decompose::ShardSchedule::kConcurrent);
+  const Result seq = decompose::run_sharded(
+      ds.constraints, opts, shard_run(decompose::ShardBackend::kVirtual, 2));
+  const Result conc = decompose::run_sharded(
+      ds.constraints, opts,
+      shard_run(decompose::ShardBackend::kVirtual, 2,
+                decompose::ShardSchedule::kConcurrent));
   EXPECT_EQ(seq.stand_trees, conc.stand_trees);
   // One machine per shard can only be faster than running them back to
   // back; with >= 2 shards of real work it is strictly faster.

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "decompose/components.hpp"
+#include "decompose/sharded.hpp"
 #include "gentrius/options.hpp"
 #include "oracle/brute_force.hpp"
 
@@ -20,6 +21,18 @@ inline constexpr std::uint64_t kProductLawSeeds = 40;
 #else
 inline constexpr std::uint64_t kProductLawSeeds = 200;
 #endif
+
+/// run_sharded settings for a pool or virtual backend with `n_threads`
+/// workers per shard.
+inline decompose::ShardRunOptions shard_run(
+    decompose::ShardBackend backend, std::size_t n_threads,
+    decompose::ShardSchedule schedule = decompose::ShardSchedule::kSequential) {
+  decompose::ShardRunOptions run;
+  run.backend = backend;
+  run.n_threads = n_threads;
+  run.schedule = schedule;
+  return run;
+}
 
 inline std::vector<std::string> sorted_trees(core::Result& r) {
   std::sort(r.trees.begin(), r.trees.end());

@@ -2,6 +2,10 @@
 // task-offer rules, adopt/rewind round trips, and counting discipline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "datagen/dataset.hpp"
 #include "gentrius/enumerator.hpp"
 #include "gentrius/serial.hpp"
@@ -155,6 +159,103 @@ TEST(Enumerator, OfferedTaskHalvesTheBranchSet) {
   ASSERT_EQ(tasks.tasks.size(), 1u);
   EXPECT_GE(tasks.tasks[0].branches.size(), 1u);
   EXPECT_EQ(e.tasks_offered(), 1u);
+}
+
+TEST(Enumerator, OffersFollowThePaperSplittingRule) {
+  // Paper §III-A: a task is offered only with at least 3 taxa remaining and
+  // carries the first b / 2 of its frame's b admissible branches. Each
+  // recorded task is checked against an independent Terrace replayed to
+  // the offering state.
+  const auto ds = hard_dataset(77);
+  for (const OfferPolicy policy :
+       {OfferPolicy::kPaperFixed, OfferPolicy::kAdaptiveGW}) {
+    SCOPED_TRACE(to_string(policy));
+    Options opts;
+    opts.offer_policy = policy;
+    const auto problem = build_problem(ds.constraints, opts);
+    CounterSink sink(opts.stop);
+    Enumerator e(problem, opts, sink);
+    RecordingSink tasks(5'000);
+    e.set_task_sink(&tasks);
+    const auto& prefix = e.run_prefix(true);
+    ASSERT_EQ(prefix.outcome, Enumerator::Prefix::Outcome::kSplit);
+    e.begin_branches(prefix.split_taxon, prefix.branches);
+    while (e.step() == Enumerator::Step::kWorked) {}
+    ASSERT_FALSE(tasks.tasks.empty());
+
+    // Replay the forced prefix to I0 on a fresh Terrace.
+    Terrace t(problem);
+    std::vector<EdgeId> branches;
+    for (;;) {
+      const auto c = t.choose_dynamic(branches);
+      ASSERT_FALSE(c.complete || c.dead_end);
+      if (branches.size() >= 2) break;
+      t.insert(c.taxon, branches[0]);
+    }
+    std::size_t min_remaining = problem.missing_count();
+    for (const Task& task : tasks.tasks) {
+      std::vector<InsertRecord> records;
+      for (const auto& [taxon, edge] : task.path)
+        records.push_back(t.insert(taxon, edge));
+      min_remaining = std::min(min_remaining, t.remaining_count());
+      EXPECT_GE(t.remaining_count(), 3u);
+      t.choose_static(task.next_taxon, branches);
+      ASSERT_GE(branches.size(), 2u);
+      const std::vector<EdgeId> first_half(
+          branches.begin(),
+          branches.begin() + static_cast<std::ptrdiff_t>(branches.size() / 2));
+      EXPECT_EQ(task.branches, first_half);
+      for (auto it = records.rbegin(); it != records.rend(); ++it)
+        t.remove(*it);
+    }
+    // Under the fixed rule the floor is reached, not just respected.
+    if (policy == OfferPolicy::kPaperFixed) {
+      EXPECT_EQ(min_remaining, 3u);
+    }
+  }
+}
+
+/// Drives one enumerator over the whole instance and returns its flush
+/// count and the clock reads of the time rule.
+std::pair<std::uint64_t, std::uint64_t> flushes_and_clock_reads(
+    const Problem& problem, const Options& opts) {
+  CounterSink sink(opts.stop);
+  Enumerator e(problem, opts, sink);
+  const auto& prefix = e.run_prefix(true);
+  if (prefix.outcome == Enumerator::Prefix::Outcome::kSplit) {
+    e.begin_branches(prefix.split_taxon, prefix.branches);
+    while (e.step() == Enumerator::Step::kWorked) {}
+  }
+  e.counters().flush_all();
+  return {e.counters().flush_count(), sink.time_checks()};
+}
+
+TEST(TimeCheckCadence, ExactCountingReadsTheClockEvery256thFlush) {
+  // run_serial's counting: every batch 1, so a flush happens at every
+  // state and the clock is read on every 256th.
+  const auto ds = hard_dataset();
+  Options opts;
+  opts.tree_flush_batch = 1;
+  opts.state_flush_batch = 1;
+  opts.dead_end_flush_batch = 1;
+  const auto [flushes, reads] =
+      flushes_and_clock_reads(build_problem(ds.constraints, opts), opts);
+  ASSERT_GT(flushes, 4u * 256u);
+  EXPECT_EQ(reads, flushes / 256);
+}
+
+TEST(TimeCheckCadence, BatchedCountingReadsTheClockEveryFlush) {
+  // run_parallel's counting (the default batches) and any other batched
+  // setting read the clock on every flush.
+  const auto ds = hard_dataset();
+  Options small_batches;
+  small_batches.state_flush_batch = 8;
+  for (const Options& opts : {Options{}, small_batches}) {
+    const auto [flushes, reads] =
+        flushes_and_clock_reads(build_problem(ds.constraints, opts), opts);
+    ASSERT_GT(flushes, 0u);
+    EXPECT_EQ(reads, flushes);
+  }
 }
 
 TEST(Enumerator, StopFlagHaltsStepping) {

@@ -27,6 +27,7 @@
 #include "benchutil/corpus.hpp"
 #include "datagen/dataset.hpp"
 #include "decompose/sharded.hpp"
+#include "decompose/testutil.hpp"
 #include "gentrius/enumerator.hpp"
 #include "gentrius/serial.hpp"
 #include "gentrius/terrace.hpp"
@@ -302,7 +303,7 @@ std::string build_report() {
     opts.collect_trees = true;
     opts.decompose = Decompose::kComponents;
 
-    const auto serial = decompose::run_serial(ds.constraints, opts);
+    const auto serial = decompose::run_sharded(ds.constraints, opts);
     out << "  sharded serial trees " << serial.stand_trees << " states "
         << serial.intermediate_states << " dead_ends " << serial.dead_ends
         << " reason " << to_string(serial.reason) << "\n";
@@ -312,7 +313,9 @@ std::string build_report() {
         << "\n";
 
     for (const std::size_t nt : {2UL, 4UL, 8UL}) {
-      const auto r = decompose::run_virtual(ds.constraints, opts, nt);
+      const auto r = decompose::run_sharded(
+          ds.constraints, opts,
+          decompose_test::shard_run(decompose::ShardBackend::kVirtual, nt));
       out << "  sharded virtual nt=" << nt << " trees " << r.stand_trees
           << " states " << r.intermediate_states << " stand_hash "
           << stand_set_hash(r.trees) << " makespan_cu "
@@ -321,7 +324,9 @@ std::string build_report() {
     }
 
     for (const std::size_t nt : {2UL}) {
-      const auto r = decompose::run_parallel(ds.constraints, opts, nt);
+      const auto r = decompose::run_sharded(
+          ds.constraints, opts,
+          decompose_test::shard_run(decompose::ShardBackend::kPool, nt));
       out << "  sharded pool nt=" << nt << " trees " << r.stand_trees
           << " stand_hash " << stand_set_hash(r.trees) << "\n";
       for (const auto& s : r.shards)

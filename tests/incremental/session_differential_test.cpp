@@ -49,7 +49,7 @@ Options engine_options(const phylo::TaxonSet& taxa) {
 Result from_scratch(const phylo::Tree& species, const pam::Pam& pam,
                     const Options& options, std::size_t min_taxa = 4) {
   const auto decomp = decompose::analyze_pam(species, pam, min_taxa);
-  return decompose::run_serial(decomp.constraints, options);
+  return decompose::run_sharded(decomp.constraints, options);
 }
 
 /// A random applicable edit that keeps every locus enumerable (clears only

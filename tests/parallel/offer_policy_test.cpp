@@ -9,8 +9,9 @@
 //   * the starvation regression on the skewed hand-off-flood family: with
 //     the policy live (offers actually suppressed) the pool must not run
 //     slower than the paper's fixed rule,
-//   * the lifted splitting-rule knobs (offer_min_remaining,
-//     offer_split_fraction) and the offer counters in core::Result.
+//   * the offer counters in core::Result.
+// The splitting rule itself (3-taxa floor, half split) is pinned in
+// tests/gentrius/enumerator_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,9 +55,7 @@ Options options_for(const datagen::Dataset& ds) {
 // ---- GW estimator ----------------------------------------------------------
 
 TEST(GwOfferModel, PriorOnlyPredictionFollowsRecurrence) {
-  Options o;
-  o.gw_prior_offspring = 2.0;
-  GwOfferModel model(/*max_remaining=*/4, o);
+  GwOfferModel model(/*max_remaining=*/4);
   // No observations: m(r) = prior everywhere, so W(r) = 2 * (1 + W(r-1)):
   // W(1) = 2, W(2) = 6, W(3) = 14, and a branch of a stratum-r frame is
   // worth 1 + W(r-1).
@@ -67,11 +66,7 @@ TEST(GwOfferModel, PriorOnlyPredictionFollowsRecurrence) {
 }
 
 TEST(GwOfferModel, ConvergesToObservedBranching) {
-  Options o;
-  o.gw_prior_offspring = 2.0;
-  o.gw_prior_weight = 4.0;
-  o.gw_refit_period = 64;
-  GwOfferModel model(/*max_remaining=*/3, o);
+  GwOfferModel model(/*max_remaining=*/3);
   for (int i = 0; i < 10'000; ++i)
     for (std::size_t r = 1; r <= 3; ++r) model.record(r, 3);
   // Prior washed out: m -> 3, so W(1)=3, W(2)=12 and branch values follow.
@@ -81,22 +76,20 @@ TEST(GwOfferModel, ConvergesToObservedBranching) {
 }
 
 TEST(GwOfferModel, DeadEndsShrinkTheForecast) {
-  Options o;
-  GwOfferModel model(/*max_remaining=*/2, o);
+  GwOfferModel model(/*max_remaining=*/2);
   for (int i = 0; i < 1'000; ++i) model.record(1, 0);  // stratum 1 dead-ends
   // W(1) -> 0: a branch of a stratum-2 frame is worth just its own insert.
   EXPECT_NEAR(model.expected_branch_states(2), 1.0, 1e-2);
 }
 
 TEST(GwOfferModel, RefitIsLazyAndDeterministic) {
-  Options o;
-  o.gw_refit_period = 64;
-  GwOfferModel model(/*max_remaining=*/2, o);
+  GwOfferModel model(/*max_remaining=*/2);
   const double before = model.expected_branch_states(2);  // fits the prior
   for (int i = 0; i < 10; ++i) model.record(1, 6);
-  // Fewer than gw_refit_period new samples: the table must not move.
+  // Fewer than kRefitPeriod new samples: the table must not move.
   EXPECT_DOUBLE_EQ(model.expected_branch_states(2), before);
-  for (int i = 0; i < 64; ++i) model.record(1, 6);
+  for (std::uint32_t i = 0; i < GwOfferModel::kRefitPeriod; ++i)
+    model.record(1, 6);
   EXPECT_GT(model.expected_branch_states(2), before);
 }
 
@@ -197,40 +190,7 @@ TEST(AdaptiveOfferPolicy, DoesNotStarveTheFloodedPool) {
   }
 }
 
-// ---- lifted splitting-rule knobs ------------------------------------------
-
-TEST(OfferPolicyKnobs, MinRemainingDisablesAllOffers) {
-  const auto ds = datagen::make_flood_instance(/*depth=*/6, /*seed=*/1);
-  Options opts = options_for(ds);
-  opts.offer_min_remaining = 1'000;  // no frame ever qualifies
-  const auto problem = core::build_problem(ds.constraints, opts);
-  const Result serial = core::run_serial(problem, opts);
-  for (const OfferPolicy policy :
-       {OfferPolicy::kPaperFixed, OfferPolicy::kAdaptiveGW}) {
-    Options o = opts;
-    o.offer_policy = policy;
-    const Result r = vthread::run_virtual(problem, o, 4);
-    EXPECT_EQ(r.tasks_offered, 0u);
-    EXPECT_EQ(r.sched.offers_evaluated, 0u);
-    EXPECT_EQ(r.stand_trees, serial.stand_trees);
-  }
-}
-
-TEST(OfferPolicyKnobs, SplitFractionKeepsCountsExact) {
-  const auto ds = datagen::make_flood_instance(/*depth=*/6, /*seed=*/2);
-  Options opts = options_for(ds);
-  const auto problem = core::build_problem(ds.constraints, opts);
-  const Result serial = core::run_serial(problem, opts);
-  for (const double fraction : {0.25, 0.5, 0.75}) {
-    Options o = opts;
-    o.offer_split_fraction = fraction;
-    const Result r = vthread::run_virtual(problem, o, 4);
-    EXPECT_EQ(r.stand_trees, serial.stand_trees) << "fraction=" << fraction;
-    EXPECT_EQ(r.intermediate_states, serial.intermediate_states)
-        << "fraction=" << fraction;
-    EXPECT_EQ(r.dead_ends, serial.dead_ends) << "fraction=" << fraction;
-  }
-}
+// ---- offer counters ---------------------------------------------------------
 
 TEST(OfferPolicyKnobs, AdaptiveStatsFlowThroughResult) {
   const auto ds = datagen::make_flood_instance(/*depth=*/7, /*seed=*/4);

@@ -78,7 +78,8 @@ TEST_P(Equivalence, AllDriversAgreeOnCountsAndStand) {
       EXPECT_GT(vir.virtual_makespan, 0.0);
     }
 
-    const Result stat = parallel::run_static_split(problem, opts, threads);
+    const Result stat =
+        vthread::run_virtual_static_split(problem, opts, threads);
     EXPECT_EQ(stat.stand_trees, serial.stand_trees);
     EXPECT_EQ(stat.intermediate_states, serial.intermediate_states);
     EXPECT_EQ(sorted(stat.trees), expected_trees);

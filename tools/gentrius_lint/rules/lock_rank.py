@@ -14,7 +14,10 @@ rule extracts its ``MutexLock`` sites, computes the scope of each guard
 (to the end of its enclosing block), and records an edge
 ``rank(held) -> rank(acquired)`` for every acquisition — direct or via a
 call — made while the guard is live. Callee acquisitions are propagated
-through a call-graph fixpoint, and functions whose acquisitions the
+through a call-graph fixpoint. Calls resolve by bare name, except that a
+member call on a declared ``std::atomic`` object (``size_.store(...)``) is
+the atomic's own operation and never resolves to a project function of
+the same name. Functions whose acquisitions the
 extractor cannot see (callbacks, type-erased paths) can declare them with
 ``// lint:acquires(kRankA, kRankB)`` above their definition. Any edge
 that is not strictly increasing is a finding at the inner acquisition
@@ -43,6 +46,11 @@ _RANK_ARG_RE = re.compile(r"\bRank::(k\w+)")
 _LOCK_SITE_RE = re.compile(r"\bMutexLock\b\s+\w+\s*[({]([^)}]*)[)}]")
 _ACQUIRES_RE = re.compile(r"//\s*lint:acquires\(\s*(k\w+(?:\s*,\s*k\w+)*)\s*\)")
 _CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+# `std::atomic<T> name`, also nested (`std::vector<std::atomic<T>> name`).
+_ATOMIC_DECL_RE = re.compile(r"\batomic\s*<[^;{}()]*>\s*(\w+)\s*[{;=\[]")
+# The receiver of a member call: `name.` / `name->` / `name[i].` just
+# before the callee.
+_RECEIVER_RE = re.compile(r"(\w+)\s*(?:\[[^\[\]]*\])?\s*(?:\.|->)\s*$")
 
 
 def parse_rank_enum(files: list[core.SourceFile]) -> dict[str, int]:
@@ -198,7 +206,33 @@ def _collect_functions(files: list[core.SourceFile],
     return by_name
 
 
-def _close_acquires(by_name: dict[str, list[_Function]]) -> None:
+def _atomic_names(files: list[core.SourceFile]) -> set[str]:
+    """Names declared as ``std::atomic`` objects anywhere in the scan."""
+    names: set[str] = set()
+    for sf in files:
+        for code in sf.code_lines:
+            names.update(m.group(1) for m in _ATOMIC_DECL_RE.finditer(code))
+    return names
+
+
+def _calls(fn: _Function, start: int, end: int, atomics: set[str]):
+    """(callee, offset) for each call in ``fn``'s text [start, end) that may
+    reach a project function: recursion and member calls on a declared
+    atomic object are skipped."""
+    text = fn.flat.text
+    for m in _CALL_RE.finditer(text, start, end):
+        callee = m.group(1)
+        if callee == fn.fndef.name:
+            continue
+        receiver = _RECEIVER_RE.search(text, max(start, m.start() - 120),
+                                       m.start())
+        if receiver and receiver.group(1) in atomics:
+            continue
+        yield callee, m.start()
+
+
+def _close_acquires(by_name: dict[str, list[_Function]],
+                    atomics: set[str]) -> None:
     """Propagate acquisitions through the call graph to a fixpoint."""
     changed = True
     guard = 0
@@ -209,12 +243,9 @@ def _close_acquires(by_name: dict[str, list[_Function]]) -> None:
             for fn in fns:
                 if isinstance(fn, _DeclaredStub):
                     continue
-                for m in _CALL_RE.finditer(fn.flat.text, fn.fndef.body_start,
-                                           fn.fndef.body_end):
-                    callee = m.group(1)
-                    if callee == fn.fndef.name or callee not in by_name:
-                        continue
-                    for target in by_name[callee]:
+                for callee, _ in _calls(fn, fn.fndef.body_start,
+                                        fn.fndef.body_end, atomics):
+                    for target in by_name.get(callee, ()):
                         extra = target.acquires - fn.acquires
                         if extra:
                             fn.acquires.update(extra)
@@ -222,7 +253,7 @@ def _close_acquires(by_name: dict[str, list[_Function]]) -> None:
 
 
 def _edges_for(fn: _Function, by_name: dict[str, list[_Function]],
-               ) -> list[tuple[str, str, int]]:
+               atomics: set[str]) -> list[tuple[str, str, int]]:
     """(held_rank, acquired_rank, line) edges created inside ``fn``."""
     edges: list[tuple[str, str, int]] = []
     for site in fn.sites:
@@ -231,12 +262,9 @@ def _edges_for(fn: _Function, by_name: dict[str, list[_Function]],
             if site.pos < other.pos < site.end:
                 edges.append((site.rank, other.rank, other.line))
         # Calls made while the guard is held.
-        for m in _CALL_RE.finditer(fn.flat.text, site.pos, site.end):
-            callee = m.group(1)
-            if callee == fn.fndef.name or callee not in by_name:
-                continue
-            line = fn.flat.line_of(m.start())
-            for target in by_name[callee]:
+        for callee, offset in _calls(fn, site.pos, site.end, atomics):
+            line = fn.flat.line_of(offset)
+            for target in by_name.get(callee, ()):
                 for rank in sorted(target.acquires):
                     edges.append((site.rank, rank, line))
     return edges
@@ -279,7 +307,8 @@ def run_check(files: list[core.SourceFile]) -> list[core.Finding]:
     mutex_tables = {sf.path: _find_mutexes(sf, ranks, findings)
                     for sf in files}
     by_name = _collect_functions(files, mutex_tables)
-    _close_acquires(by_name)
+    atomics = _atomic_names(files)
+    _close_acquires(by_name, atomics)
 
     graph_edges: set[tuple[str, str]] = set()
     first_site: dict[tuple[str, str], tuple[str, int]] = {}
@@ -287,7 +316,7 @@ def run_check(files: list[core.SourceFile]) -> list[core.Finding]:
         for fn in fns:
             if isinstance(fn, _DeclaredStub):
                 continue
-            for held, acquired, line in _edges_for(fn, by_name):
+            for held, acquired, line in _edges_for(fn, by_name, atomics):
                 if held not in ranks or acquired not in ranks:
                     continue
                 graph_edges.add((held, acquired))
@@ -458,6 +487,35 @@ class Same {
 """
     checks.append(("lock-order: equal ranks are not 'strictly increasing'",
                    fires("lock-order", same_rank)))
+    # Calls resolve by bare name; an atomic's own .store() must not link to
+    # a project function that happens to be called store.
+    colliding = """\
+class Queue {
+  void push() {
+    support::MutexLock lock(signal_mu_);
+    approx_size_.store(1, std::memory_order_relaxed);
+  }
+  std::atomic<std::size_t> approx_size_{0};
+  support::Mutex signal_mu_{support::Rank::kSchedulerSignal};
+};
+class Hook {
+  void store() {
+    support::MutexLock lock(hook_mu_);
+  }
+  support::Mutex hook_mu_{support::Rank::kTaskQueue};
+};
+"""
+    checks.append(("lock-order: an atomic's .store() under a guard does not "
+                   "resolve to a project function named store",
+                   not any(_lint(colliding))))
+    real_call = colliding.replace(
+        "approx_size_.store(1, std::memory_order_relaxed);",
+        "hook_.store();").replace(
+        "std::atomic<std::size_t> approx_size_{0};", "Hook hook_;")
+    checks.append(("lock-order: a real call to a locking helper under a "
+                   "higher-ranked guard still fires",
+                   fires("lock-order", real_call)))
+
     seeded_decompose = [
         core.SourceFile("src/support/sync.hpp", _ENUM_SRC,
                         LockRankRule.codes),
